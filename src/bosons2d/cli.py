@@ -12,9 +12,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -63,6 +63,17 @@ POTENTIAL_FAMILIES = ("square_well",)
 SCALING_FAMILIES = ("W_beta", "V_N", "M_beta")
 
 
+def _coerce_floats(spec: Any, path: str = "") -> None:
+    """Store every float field as a float, so 1 and 1.0 give one config hash."""
+    for field in dataclasses.fields(spec):
+        if field.type not in ("float", float):
+            continue
+        value = getattr(spec, field.name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{path}{field.name}: must be a number, got {value!r}")
+        object.__setattr__(spec, field.name, float(value))
+
+
 @dataclasses.dataclass(frozen=True)
 class PotentialSpec:
     """Base radial profile and the particle-number scaling applied to it."""
@@ -72,6 +83,7 @@ class PotentialSpec:
     scaling: str = "W_beta"
 
     def __post_init__(self) -> None:
+        _coerce_floats(self, "potential.")
         if self.family not in POTENTIAL_FAMILIES:
             raise ValueError(f"potential.family: unknown family {self.family!r}")
         if not (self.height > 0 and math.isfinite(self.height)):
@@ -111,6 +123,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario: unknown scenario {self.scenario!r}")
+        _coerce_floats(self)
         values = tuple(int(n) for n in self.n_values)
         object.__setattr__(self, "n_values", values)
         if not values:
@@ -315,14 +328,6 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sweep(worker: Callable[[int], Any], n_values: Sequence[int], threads: int) -> list[Any]:
-    """Run the per-N worker across the sweep, preserving input order."""
-    if threads <= 1 or len(n_values) <= 1:
-        return [worker(n) for n in n_values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, n_values))
-
-
 # ---------------------------------------------------------------------------
 # Scenario runners. Each returns (artifacts, summary) and records assertions.
 
@@ -339,14 +344,10 @@ def _run_scattering(config: ExperimentConfig, out_dir: Path, log: AssertionLog) 
     log.require_below("boundary-independence",
                       abs(sol_wide.scattering_length - a) / abs(a), 1e-6)
 
-    def worker(n: int) -> tuple[float, Any]:
+    rows = []
+    for n in config.n_values:
         coupling = scaled_scattering_identity(base, n, config.boundary_radius)
         pair = build_microscopic(base, n, config.beta)
-        return coupling, pair
-
-    results = _sweep(worker, config.n_values, config.threads)
-    rows = []
-    for n, (coupling, pair) in zip(config.n_values, results):
         log.require_below(f"root-residual[N={n}]", abs(pair.residual), 1e-10)
         log.check(f"compressed-coupling[N={n}]", coupling, 0.0, True)
         rows.append((n, a, integral, pair.R_beta, pair.K_beta, coupling_deviation(pair)))
@@ -360,8 +361,7 @@ def _run_scattering(config: ExperimentConfig, out_dir: Path, log: AssertionLog) 
 
 def _run_microscopic(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> dict[str, Any]:
     base = config.potential.base()
-    pairs = _sweep(lambda n: build_microscopic(base, n, config.beta),
-                   config.n_values, config.threads)
+    pairs = [build_microscopic(base, n, config.beta) for n in config.n_values]
 
     rows = []
     constants = []
@@ -500,8 +500,7 @@ def _run_gp(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> dict[
 
 def _lattice_condensate(lattice: Lattice2D) -> np.ndarray:
     """Smooth normalized single-particle profile on the lattice."""
-    ax = np.arange(lattice.m) * lattice.spacing
-    x, y = np.meshgrid(ax, ax, indexing="ij")
+    x, y = lattice.meshes()
     scale = 2.0 * math.pi / lattice.box_length
     phi = 1.0 + 0.25 * np.cos(scale * x) + 0.15 * np.cos(scale * y)
     cell = lattice.spacing ** 2
@@ -681,7 +680,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file of config overrides")
         p.add_argument("--out", type=str, default=None, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="base seed")
-        p.add_argument("--threads", type=int, default=None, help="sweep worker threads")
+        p.add_argument("--threads", type=int, default=None, help="FFT worker threads")
     return parser
 
 

@@ -33,10 +33,11 @@ from .fewbody import (
     Lattice2D,
     _pair_site_table,
     build_hamiltonian,
+    dense_operator,
     energy_per_particle,
     propagate,
 )
-from .gp import ExternalField
+from .gp import ExternalField, _mean_field_energy
 
 __all__ = [
     "MAX_COUNTING_PARTICLES",
@@ -280,16 +281,6 @@ def spectral_gradient(amplitudes: np.ndarray, lattice: Lattice2D,
     return out.reshape((2,) + amplitudes.shape)
 
 
-def dense_operator(apply_fn: Callable[[np.ndarray], np.ndarray],
-                   lattice: Lattice2D, n_particles: int) -> np.ndarray:
-    """Dense matrix of a linear operator given by its tensor action."""
-    dim = lattice.d ** n_particles
-    shape = (lattice.d,) * n_particles
-    basis = np.eye(dim, dtype=np.complex128)
-    columns = [apply_fn(basis[:, i].reshape(shape)).ravel() for i in range(dim)]
-    return np.column_stack(columns)
-
-
 def gamma1(state: FewBodyState) -> np.ndarray:
     """One-particle reduced density matrix of a normalized symmetric state.
 
@@ -381,15 +372,8 @@ def _field_table(field: ExternalField | np.ndarray | None, lattice: Lattice2D,
 def mean_field_energy(phi: np.ndarray, lattice: Lattice2D, coupling: float,
                       field_values: np.ndarray | None = None) -> float:
     """Mean-field energy of a lattice field with the spectral kinetic term."""
-    cell = lattice.spacing ** 2
-    k = lattice.wavenumbers()
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    phi_hat = scipy.fft.fft2(phi)
-    kinetic = float(np.sum(k2 * np.abs(phi_hat) ** 2)) * cell / lattice.d
-    density = np.abs(phi) ** 2
-    a_now = np.zeros_like(density) if field_values is None else field_values
-    potential = float(np.sum((a_now + 0.5 * coupling * density) * density)) * cell
-    return kinetic + potential
+    a_now = np.zeros(phi.shape) if field_values is None else field_values
+    return _mean_field_energy(phi, lattice, coupling, a_now)
 
 
 def mean_field_step(phi: np.ndarray, lattice: Lattice2D, coupling: float,
@@ -404,10 +388,9 @@ def mean_field_step(phi: np.ndarray, lattice: Lattice2D, coupling: float,
     a_now = _field_table(field, lattice, t)
     a_next = a_now if (field is None or isinstance(field, np.ndarray)) \
         else field.evaluate(lattice, t + dt)
-    k = lattice.wavenumbers()
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
     psi = phi * np.exp(-0.5j * dt * (a_now + coupling * np.abs(phi) ** 2))
-    psi = scipy.fft.ifft2(np.exp(-1j * dt * k2) * scipy.fft.fft2(psi))
+    # Not shared with gp.step: complex multiply is not bitwise commutative.
+    psi = scipy.fft.ifft2(np.exp(-1j * dt * lattice.kinetic_symbol()) * scipy.fft.fft2(psi))
     return psi * np.exp(-0.5j * dt * (a_next + coupling * np.abs(psi) ** 2))
 
 

@@ -12,7 +12,6 @@ may instead use a cached dense eigendecomposition.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import warnings
 from typing import Callable, Sequence, TextIO
@@ -20,7 +19,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 import scipy.fft
 
-from .gp import ExternalField
+from .gp import ExternalField, Lattice2D, _read_tensor, _write_tensor
 
 __all__ = [
     "Lattice2D",
@@ -32,6 +31,7 @@ __all__ = [
     "energy_per_particle",
     "jastrow_initial_state",
     "hermiticity_defect",
+    "dense_operator",
     "dense_matrix",
     "fewbody_recorder",
     "write_fewbody_checkpoint",
@@ -42,44 +42,6 @@ DIMENSION_BUDGET = 1 << 22
 _DENSE_LIMIT = 4096
 _AUTO_DENSE_LIMIT = 1024
 _MAX_SUBSTEP_DEPTH = 8
-
-
-@dataclasses.dataclass(frozen=True)
-class Lattice2D:
-    """Periodic m x m lattice on [0, L)^2; single-particle dimension m^2."""
-    m: int
-    box_length: float
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
-        if not (self.box_length > 0):
-            raise ValueError("box_length must be positive")
-
-    @property
-    def d(self) -> int:
-        return self.m * self.m
-
-    @property
-    def spacing(self) -> float:
-        return self.box_length / self.m
-
-    def axis(self) -> np.ndarray:
-        return np.arange(self.m) * self.spacing
-
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        ax = self.axis()
-        return np.meshgrid(ax, ax, indexing="ij")
-
-    def wavenumbers(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.m, d=self.spacing)
-
-    def minimum_image_distances(self) -> np.ndarray:
-        """(m, m) table of |x| at coordinate displacement (di, dj)."""
-        idx = np.arange(self.m)
-        signed = (idx + self.m // 2) % self.m - self.m // 2
-        delta = signed * self.spacing
-        return np.hypot(delta[:, None], delta[None, :])
 
 
 def _pair_site_table(m: int, displacement_values: np.ndarray) -> np.ndarray:
@@ -203,8 +165,6 @@ def build_hamiltonian(lattice: Lattice2D, n_particles: int,
     dim = lattice.d ** n_particles
     if dim > DIMENSION_BUDGET:
         raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")
-    k = lattice.wavenumbers()
-    kinetic = k[:, None] ** 2 + k[None, :] ** 2
     if interaction is None:
         table = np.zeros((lattice.m, lattice.m))
     else:
@@ -218,8 +178,8 @@ def build_hamiltonian(lattice: Lattice2D, n_particles: int,
                            dtype=float).reshape(lattice.m, lattice.m)
     a_now = (np.zeros((lattice.m, lattice.m)) if field is None
              else field.evaluate(lattice, t))
-    return DiscreteHamiltonian(lattice, int(n_particles), kinetic, table, a_now,
-                               time=t, workers=workers)
+    return DiscreteHamiltonian(lattice, int(n_particles), lattice.kinetic_symbol(), table,
+                               a_now, time=t, workers=workers)
 
 
 def hermiticity_defect(hamiltonian: DiscreteHamiltonian, n_pairs: int = 20,
@@ -240,6 +200,16 @@ def hermiticity_defect(hamiltonian: DiscreteHamiltonian, n_pairs: int = 20,
     return worst
 
 
+def dense_operator(apply_fn: Callable[[np.ndarray], np.ndarray],
+                   lattice: Lattice2D, n_particles: int) -> np.ndarray:
+    """Dense matrix of a linear operator given by its tensor action."""
+    dim = lattice.d ** n_particles
+    shape = (lattice.d,) * n_particles
+    basis = np.eye(dim, dtype=np.complex128)
+    columns = [apply_fn(basis[:, i].reshape(shape)).ravel() for i in range(dim)]
+    return np.column_stack(columns)
+
+
 def dense_matrix(hamiltonian: DiscreteHamiltonian) -> np.ndarray:
     """Dense matrix of the operator; only for dimensions <= 4096."""
     dim = hamiltonian.lattice.d ** hamiltonian.n_particles
@@ -247,11 +217,8 @@ def dense_matrix(hamiltonian: DiscreteHamiltonian) -> np.ndarray:
         raise ValueError(f"dense form limited to dimension {_DENSE_LIMIT}, got {dim}")
     cache = hamiltonian._cache
     if "dense" not in cache:
-        shape = (hamiltonian.lattice.d,) * hamiltonian.n_particles
-        basis = np.eye(dim, dtype=complex)
-        columns = [hamiltonian.apply(basis[:, i].reshape(shape)).ravel()
-                   for i in range(dim)]
-        cache["dense"] = np.column_stack(columns)
+        cache["dense"] = dense_operator(hamiltonian.apply, hamiltonian.lattice,
+                                        hamiltonian.n_particles)
     return cache["dense"]
 
 
@@ -409,27 +376,18 @@ def fewbody_recorder(stream: TextIO, hamiltonian: DiscreteHamiltonian,
 
 def write_fewbody_checkpoint(state: FewBodyState, path: str) -> None:
     """Raw little-endian complex128 tensor plus a JSON sidecar at path + '.json'."""
-    state.amplitudes.astype("<c16").tofile(path)
-    sidecar = {
+    _write_tensor(path, state.amplitudes, {
         "n_particles": state.n_particles,
         "m": state.lattice.m,
         "box_length": state.lattice.box_length,
         "time": state.time,
         "dtype": "complex128",
         "order": "C",
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_fewbody_checkpoint(path: str) -> FewBodyState:
-    with open(path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    amp, sidecar = _read_tensor(
+        path, lambda meta: (int(meta["m"]) ** 2,) * int(meta["n_particles"]))
     lattice = Lattice2D(int(sidecar["m"]), float(sidecar["box_length"]))
-    n = int(sidecar["n_particles"])
-    raw = np.fromfile(path, dtype="<c16")
-    if raw.size != lattice.d ** n:
-        raise ValueError(f"checkpoint holds {raw.size} samples, expected {lattice.d ** n}")
-    return FewBodyState(lattice, raw.reshape((lattice.d,) * n).astype(np.complex128),
-                        float(sidecar["time"]))
+    return FewBodyState(lattice, amp, float(sidecar["time"]))

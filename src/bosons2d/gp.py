@@ -25,6 +25,7 @@ import scipy.fft
 from scipy.interpolate import CubicSpline
 
 __all__ = [
+    "Lattice2D",
     "Grid2D",
     "GpState",
     "ExternalField",
@@ -41,36 +42,63 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class Grid2D:
-    """Uniform periodic grid on [0, L)^2 with a power-of-two point count."""
-    n: int
+class Lattice2D:
+    """Periodic m x m lattice on [0, L)^2; single-particle dimension m^2."""
+    m: int
     box_length: float
 
     def __post_init__(self) -> None:
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two, at least 2")
+        if self.m < 2:
+            raise ValueError("m must be at least 2")
         if not (self.box_length > 0):
             raise ValueError("box_length must be positive")
 
     @property
+    def d(self) -> int:
+        return self.m * self.m
+
+    @property
     def spacing(self) -> float:
-        return self.box_length / self.n
+        return self.box_length / self.m
 
     def axis(self) -> np.ndarray:
-        return np.arange(self.n) * self.spacing
+        return np.arange(self.m) * self.spacing
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         ax = self.axis()
         return np.meshgrid(ax, ax, indexing="ij")
 
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        return 2.0 * math.pi * np.fft.fftfreq(self.m, d=self.spacing)
+
+    @functools.lru_cache(maxsize=32)
+    def kinetic_symbol(self) -> np.ndarray:
+        """Read-only spectral multiplier |k|^2 of -Laplacian, built once per lattice."""
+        k = self.wavenumbers()
+        k2 = k[:, None] ** 2 + k[None, :] ** 2
+        k2.flags.writeable = False
+        return k2
+
+    def minimum_image_distances(self) -> np.ndarray:
+        """(m, m) table of |x| at coordinate displacement (di, dj)."""
+        idx = np.arange(self.m)
+        signed = (idx + self.m // 2) % self.m - self.m // 2
+        delta = signed * self.spacing
+        return np.hypot(delta[:, None], delta[None, :])
 
 
-@functools.lru_cache(maxsize=32)
-def _kinetic_symbol(n: int, box_length: float) -> np.ndarray:
-    k = Grid2D(n, box_length).wavenumbers()
-    return k[:, None] ** 2 + k[None, :] ** 2
+@dataclasses.dataclass(frozen=True)
+class Grid2D(Lattice2D):
+    """Periodic grid for GP propagation: a lattice whose point count is a power of two."""
+
+    def __post_init__(self) -> None:
+        if self.m < 2 or (self.m & (self.m - 1)) != 0:
+            raise ValueError("n must be a power of two, at least 2")
+        super().__post_init__()
+
+    @property
+    def n(self) -> int:
+        return self.m
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,9 +205,8 @@ def step(state: GpState, field: ExternalField, params: GpParams,
     psi = state.amplitudes
     a_now = field.evaluate(grid, state.time)
     psi = psi * np.exp(-0.5j * dt * (a_now + params.coupling * np.abs(psi) ** 2))
-    k2 = _kinetic_symbol(grid.n, grid.box_length)
     psi_hat = scipy.fft.fft2(psi, workers=params.workers)
-    psi_hat *= np.exp(-1j * dt * k2)
+    psi_hat *= np.exp(-1j * dt * grid.kinetic_symbol())
     psi = scipy.fft.ifft2(psi_hat, workers=params.workers)
     a_next = field.evaluate(grid, state.time + dt)
     psi = psi * np.exp(-0.5j * dt * (a_next + params.coupling * np.abs(psi) ** 2))
@@ -217,16 +244,18 @@ def propagate(state: GpState, field: ExternalField, params: GpParams, n_steps: i
 
 def gp_energy(state: GpState, field: ExternalField, params: GpParams) -> float:
     """Kinetic term by Parseval plus potential and interaction quadratures."""
-    grid = state.grid
-    psi = state.amplitudes
-    dx = grid.spacing
-    cell = dx * dx
-    psi_hat = scipy.fft.fft2(psi, workers=params.workers)
-    k2 = _kinetic_symbol(grid.n, grid.box_length)
-    kinetic = float(np.sum(k2 * np.abs(psi_hat) ** 2)) * cell / grid.n ** 2
+    return _mean_field_energy(state.amplitudes, state.grid, params.coupling,
+                              field.evaluate(state.grid, state.time), params.workers)
+
+
+def _mean_field_energy(psi: np.ndarray, lattice: Lattice2D, coupling: float,
+                       a_now: np.ndarray, workers: int = 1) -> float:
+    """Energy of a field on a periodic lattice under the external table a_now."""
+    cell = lattice.spacing ** 2
+    psi_hat = scipy.fft.fft2(psi, workers=workers)
+    kinetic = float(np.sum(lattice.kinetic_symbol() * np.abs(psi_hat) ** 2)) * cell / lattice.d
     density = np.abs(psi) ** 2
-    a_now = field.evaluate(grid, state.time)
-    potential = float(np.sum((a_now + 0.5 * params.coupling * density) * density)) * cell
+    potential = float(np.sum((a_now + 0.5 * coupling * density) * density)) * cell
     return kinetic + potential
 
 
@@ -259,7 +288,7 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
     """
     grid = seed.grid
     a_now = field.evaluate(grid, at_time)
-    k2 = _kinetic_symbol(grid.n, grid.box_length)
+    k2 = grid.kinetic_symbol()
     frozen = ExternalField.from_function(lambda x, y, t: a_now)
     psi = seed.normalized().amplitudes
     tau = params.dt
@@ -305,13 +334,41 @@ def trajectory_recorder(stream: TextIO, field: ExternalField,
     return record
 
 
+_CHECKPOINT_CODES = {"complex64": "<c8", "complex128": "<c16"}
+
+
+def _write_tensor(path: str, amplitudes: np.ndarray, sidecar: dict) -> None:
+    """Raw little-endian C-order samples at path, the sidecar at path + '.json'."""
+    amplitudes.astype(_CHECKPOINT_CODES[sidecar["dtype"]]).tofile(path)
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_tensor(path: str, shape_of: Callable[[dict], tuple[int, ...]]
+                 ) -> tuple[np.ndarray, dict]:
+    """Inverse of _write_tensor; shape_of maps the sidecar to the tensor shape."""
+    with open(path + ".json", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    dtype = sidecar.get("dtype")
+    if dtype not in _CHECKPOINT_CODES:
+        raise ValueError(f"checkpoint sidecar field 'dtype' must be complex64 or "
+                         f"complex128, got {dtype!r}")
+    order = sidecar.get("order", "C")
+    if order != "C":
+        raise ValueError(f"checkpoint sidecar field 'order' must be 'C', got {order!r}")
+    shape = shape_of(sidecar)
+    raw = np.fromfile(path, dtype=_CHECKPOINT_CODES[dtype])
+    if raw.size != math.prod(shape):
+        raise ValueError(f"checkpoint holds {raw.size} samples, expected {math.prod(shape)}")
+    return raw.astype(np.complex128).reshape(shape), sidecar
+
+
 def write_checkpoint(state: GpState, path: str, params: GpParams | None = None,
                      dtype: str = "complex128") -> None:
     """Raw little-endian complex array plus a JSON sidecar at path + '.json'."""
-    if dtype not in ("complex64", "complex128"):
+    if dtype not in _CHECKPOINT_CODES:
         raise ValueError("checkpoint dtype must be complex64 or complex128")
-    code = "<c8" if dtype == "complex64" else "<c16"
-    state.amplitudes.astype(code).tofile(path)
     sidecar = {
         "n": state.grid.n,
         "box_length": state.grid.box_length,
@@ -322,19 +379,10 @@ def write_checkpoint(state: GpState, path: str, params: GpParams | None = None,
     if params is not None:
         sidecar["coupling"] = params.coupling
         sidecar["dt"] = params.dt
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_tensor(path, state.amplitudes, sidecar)
 
 
 def read_checkpoint(path: str) -> tuple[GpState, dict]:
-    with open(path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    code = "<c8" if sidecar["dtype"] == "complex64" else "<c16"
-    n = int(sidecar["n"])
-    raw = np.fromfile(path, dtype=code)
-    if raw.size != n * n:
-        raise ValueError(f"checkpoint holds {raw.size} samples, expected {n * n}")
-    grid = Grid2D(n, float(sidecar["box_length"]))
-    amp = raw.astype(np.complex128).reshape(n, n)
+    amp, sidecar = _read_tensor(path, lambda meta: (int(meta["n"]),) * 2)
+    grid = Grid2D(int(sidecar["n"]), float(sidecar["box_length"]))
     return GpState(grid, amp, float(sidecar["time"])), sidecar

@@ -25,7 +25,7 @@ import numpy as np
 
 from .fitting import FitResult, power_law_fit
 from .quadrature import radial_area_integral
-from .scattering import MicroscopicPair, RadialPotential, RadialProfile, build_microscopic
+from .scattering import MicroscopicPair, RadialPotential, build_microscopic
 
 __all__ = [
     "ScaledPotential",
@@ -268,8 +268,6 @@ class SmearedComparison:
     beta1: float
     inner_support: float
     outer_support: float
-    h_profile: RadialProfile
-    grad_h_profile: RadialProfile
     norms: SmearedNorms
     norm_errors: SmearedNorms
     charge_residual: float
@@ -373,11 +371,8 @@ def make_smeared(w_beta: ScaledPotential, beta1: float) -> tuple[ScaledPotential
     norm_errors = SmearedNorms(h_inf=0.0, h_l1=float(e1),
                                h_l2=float(e2), grad_h_l2=float(eg))
 
-    grid = np.unique(np.concatenate([r_dense, np.linspace(0.0, 1.05 * r_u, 257)]))
     comparison = SmearedComparison(
         N=N, beta=beta, beta1=beta1, inner_support=r_w, outer_support=r_u,
-        h_profile=RadialProfile(grid, h_evaluate(grid), h_evaluate),
-        grad_h_profile=RadialProfile(grid, grad_evaluate(grid), grad_evaluate),
         norms=norms, norm_errors=norm_errors, charge_residual=charge_residual,
         charge_knots=tuple(float(k) for k in scaled_knots),
         h_evaluate=h_evaluate, grad_evaluate=grad_evaluate, rho_evaluate=rho_evaluate)

@@ -290,14 +290,6 @@ def scaled_scattering_identity(potential: RadialPotential, N: int,
 
 
 @dataclasses.dataclass(frozen=True)
-class RadialProfile:
-    """Sampled radial profile with its evaluator."""
-    r_grid: np.ndarray
-    values: np.ndarray
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclasses.dataclass(frozen=True)
 class MicroscopicPair:
     """Softened annular potential, its zero-energy state, and derived numbers.
 
@@ -313,7 +305,6 @@ class MicroscopicPair:
     inner_radius: float
     R_beta: float
     height: float
-    f_solution: RadialProfile
     K_beta: float
     g_norms: tuple[float, float, float]
     scattering_length: float
@@ -402,11 +393,9 @@ def build_microscopic(potential: RadialPotential, N: int, beta: float,
     w0 = core.terminal_slope * potential.support_radius * core._norm
     u0 = core._norm
     if w0 <= 0.0:
-        profile = RadialProfile(r_grid=np.array([0.0, r1]), values=np.ones(2),
-                                evaluate=lambda r: np.ones_like(np.atleast_1d(np.asarray(r, float))))
         return MicroscopicPair(
             N=N, beta=beta, inner_radius=r1, R_beta=r1, height=height,
-            f_solution=profile, K_beta=1.0, g_norms=(0.0, 0.0, 0.0),
+            K_beta=1.0, g_norms=(0.0, 0.0, 0.0),
             scattering_length=0.0, residual=0.0,
             scan_trace=(np.empty(0), np.empty(0)), degenerate=True,
             base_potential=potential)
@@ -444,26 +433,12 @@ def build_microscopic(potential: RadialPotential, N: int, beta: float,
 
     pair = MicroscopicPair(
         N=N, beta=beta, inner_radius=r1, R_beta=float(R_beta), height=height,
-        f_solution=RadialProfile(np.empty(0), np.empty(0), lambda r: r),
         K_beta=float(K_beta), g_norms=(0.0, 0.0, 0.0),
         scattering_length=a, residual=float(residual), scan_trace=trace,
         base_potential=potential, _k=k, _A=A, _B=B, _u_at_R=float(u_at_R),
         _w0=w0, _core_radius=core_radius, _core_solution=core)
 
-    g_norms = _g_norms(pair)
-    if core_radius > 0.0:
-        r_grid = np.unique(np.concatenate([
-            np.geomspace(core_radius * 1e-2, core_radius, 64),
-            np.geomspace(core_radius, r1, 256),
-            np.linspace(r1, R_beta, 128), [0.0]]))
-    else:
-        # e^(-N) underflows for very large N; the core occupies zero measure
-        # and the profile starts on the logarithmic gap branch.
-        r_grid = np.unique(np.concatenate([
-            np.geomspace(r1 * 1e-8, r1, 256), np.linspace(r1, R_beta, 128)]))
-    f_values = pair.f_evaluate(r_grid)
-    profile = RadialProfile(r_grid=r_grid, values=f_values, evaluate=pair.f_evaluate)
-    return dataclasses.replace(pair, f_solution=profile, g_norms=g_norms)
+    return dataclasses.replace(pair, g_norms=_g_norms(pair))
 
 
 def _gap_antideriv_l1(r: np.ndarray, c: float, U: float) -> np.ndarray:

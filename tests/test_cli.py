@@ -81,6 +81,19 @@ def test_config_hash_ignores_execution_fields_only():
     assert config_hash(base) != config_hash(reseeded)
 
 
+def test_config_hash_ignores_how_a_float_is_spelled():
+    assert config_hash(load_config("gp", {"coupling": 1})) \
+        == config_hash(load_config("gp", {"coupling": 1.0}))
+    assert config_hash(load_config("gp", {"potential": {"height": 4}})) \
+        == config_hash(load_config("gp"))
+    config = load_config("compare", {"box_length": 2, "dt": 1, "t_final": 1})
+    assert isinstance(config.box_length, float) and isinstance(config.dt, float)
+    with pytest.raises(ValueError, match="coupling: must be a number"):
+        load_config("gp", {"coupling": "1.0"})
+    with pytest.raises(ValueError, match="potential.radius: must be a number"):
+        load_config("gp", {"potential": {"radius": True}})
+
+
 # ----------------------------------------------------------------- fitting
 
 
@@ -128,11 +141,20 @@ def test_scattering_run_writes_hashed_artifacts(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    first = run(load_config("gp", {"grid_points": 16, "t_final": 5e-3,
-                                   "out_dir": str(tmp_path / "a")}))
-    second = run(load_config("gp", {"grid_points": 16, "t_final": 5e-3,
-                                    "out_dir": str(tmp_path / "b")}))
+@pytest.mark.parametrize("scenario, small", [
+    pytest.param("gp", {"grid_points": 16, "t_final": 5e-3}, id="gp"),
+    pytest.param("scattering", {"n_values": [4, 8]}, id="scattering"),
+    pytest.param("microscopic", {}, id="microscopic"),
+    pytest.param("smearing", {"n_values": [64, 128, 256, 512]}, id="smearing"),
+    pytest.param("fewbody", {"lattice_points": 4, "t_final": 0.01, "dt": 2e-3,
+                             "field_amplitude": 1.0}, id="fewbody"),
+    pytest.param("compare", {"lattice_points": 4, "t_final": 0.01, "dt": 2e-3,
+                             "field_amplitude": 1.0,
+                             "potential": {"scaling": "M_beta"}}, id="compare"),
+])
+def test_rerun_is_byte_identical(tmp_path, scenario, small):
+    first = run(load_config(scenario, {**small, "out_dir": str(tmp_path / "a")}))
+    second = run(load_config(scenario, {**small, "out_dir": str(tmp_path / "b")}))
     assert first.config_hash == second.config_hash
     assert first.artifacts == second.artifacts
 

@@ -339,3 +339,18 @@ def test_recorder_and_checkpoint(tmp_path):
                    "time": 0.0, "dtype": "complex128"}, fh)
     with pytest.raises(ValueError):
         read_fewbody_checkpoint(bad)
+
+
+@pytest.mark.parametrize("field, value", [("dtype", "float32"), ("order", "F")])
+def test_checkpoint_reader_rejects_bad_sidecar(tmp_path, field, value):
+    import json
+    lat = Lattice2D(3, 1.0)
+    path = str(tmp_path / "few.bin")
+    write_fewbody_checkpoint(product_state(lat, smooth_phi(lat), 2), path)
+    with open(path + ".json", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    sidecar[field] = value
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        read_fewbody_checkpoint(path)

@@ -338,3 +338,18 @@ def test_checkpoint_roundtrip(tmp_path):
         json.dump({"n": 32, "box_length": 4.0, "time": 0.0, "dtype": "complex128"}, fh)
     with pytest.raises(ValueError):
         read_checkpoint(truncated)
+
+
+@pytest.mark.parametrize("field, value", [("dtype", "float64"), ("dtype", None),
+                                          ("order", "F")])
+def test_checkpoint_reader_rejects_bad_sidecar(tmp_path, field, value):
+    grid = Grid2D(8, 1.0)
+    path = str(tmp_path / "state.bin")
+    write_checkpoint(GpState(grid, np.ones((8, 8), dtype=complex)), path)
+    with open(path + ".json", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    sidecar[field] = value
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        read_checkpoint(path)
