@@ -526,7 +526,8 @@ def _run_fewbody(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     lattice = Lattice2D(config.lattice_points, config.box_length)
     interaction, micro, _ = _scaled_interaction(config, n) if n >= 2 else (None, None, 0.0)
     field = _cosine_field(config.field_amplitude, config.box_length)
-    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0)
+    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0,
+                                    workers=config.threads)
 
     phi = _lattice_condensate(lattice)
     state = jastrow_initial_state(phi, micro, lattice, n)
@@ -553,7 +554,8 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     lattice = Lattice2D(config.lattice_points, config.box_length)
     interaction, micro, coupling = _scaled_interaction(config, n)
     field = _cosine_field(config.field_amplitude, config.box_length)
-    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0)
+    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0,
+                                    workers=config.threads)
     field_table = None if field is None else field.evaluate(lattice, 0.0)
 
     phi = _lattice_condensate(lattice).astype(np.complex128)

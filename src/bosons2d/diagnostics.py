@@ -695,6 +695,38 @@ class OperatorAlgebraReport:
         })
 
 
+def _dense_weight(projector: CondensateProjector,
+                  values: Sequence[float]) -> np.ndarray:
+    """Dense sum_k w(k) P_k on len(values) - 1 particles, from Kronecker
+    products of the single-particle p and q matrices.
+
+    P_k sums, over the k-subsets of the particles, the Kronecker product with
+    q on the subset and p elsewhere; particle 0 is the most significant index,
+    as in the C-order ravel of an amplitude tensor. Grouping the subsets by
+    whether they hold the last particle gives W(w) = W(w[:-1]) (x) p +
+    W(w[1:]) (x) q, so each level costs two Kronecker products.
+    """
+    if len(values) == 1:
+        return np.full((1, 1), values[0], dtype=np.complex128)
+    return (np.kron(_dense_weight(projector, values[:-1]), projector.p_matrix)
+            + np.kron(_dense_weight(projector, values[1:]), projector.q_matrix))
+
+
+def _kron_left(factors: Sequence[np.ndarray], matrix: np.ndarray) -> np.ndarray:
+    """kron(factors[0], factors[1], ..., 1) @ matrix without forming the
+    Kronecker product: factor j acts on the row index of particle j."""
+    d = len(factors[0])
+    out = matrix
+    for j, factor in enumerate(factors):
+        out = np.matmul(factor, out.reshape((d,) * (j + 1) + (-1,)))
+    return out.reshape(matrix.shape)
+
+
+def _kron_right(matrix: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """matrix @ kron(factors[0], factors[1], ..., 1), by transposition."""
+    return _kron_left([factor.T for factor in factors], matrix.T).T
+
+
 def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
                            seed: int = 0, tolerance: float = 1e-10,
                            xi: float = 0.25) -> OperatorAlgebraReport:
@@ -703,7 +735,10 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
     Identity checks measure the lattice 2-norm of the difference of both
     sides applied to unit random tensors; inequality checks measure the
     amount by which the left side exceeds its bound (zero when satisfied).
-    Dense matrix-level checks are added when the total dimension is small.
+    Dense matrix-level checks are added when the total dimension is small:
+    their matrices are Kronecker oracles, built from the single-particle
+    p_matrix and q_matrix rather than from the tensor actions, and two of
+    them check those matrices against the tensor actions on the probe.
     Any defect above the tolerance is reported as a named failure carrying
     the seed.
     """
@@ -903,25 +938,37 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
            max(0.0, float(np.max(np.abs(w_m.values - w_n.values)))
                - n ** (-xi)), tolerance)
 
-    # Dense matrix-level spot checks when the full dimension is small.
+    # Dense matrix-level spot checks when the full dimension is small. The
+    # matrices are Kronecker oracles built from the single-particle p and q,
+    # not from the tensor actions, and two checks tie them back to those
+    # actions on the probe. Products with p (x) 1 and the pair blocks go
+    # through their Kronecker factors.
     if d ** n <= 1024:
-        m_dense = dense_operator(mhat, lattice, n)
-        p_dense = dense_operator(lambda v: p(v, 0), lattice, n)
+        p_one, q_one = projector.p_matrix, projector.q_matrix
+        m_dense = _dense_weight(projector, w_m.values)
+        # M (p (x) 1) - (p (x) 1) M
         record("dense-weight-commutes-p",
-               float(np.max(np.abs(m_dense @ p_dense - p_dense @ m_dense))))
-        identity = np.eye(d ** n)
-        summed = sum(dense_operator(
-            lambda v, kk=k: count_components(v, projector)[kk], lattice, n)
-            for k in range(n + 1))
+               float(np.max(np.abs(_kron_right(m_dense, [p_one])
+                                   - _kron_left([p_one], m_dense)))))
+        record("dense-weight-matches-tensor",
+               norm((m_dense @ probe.ravel()).reshape(probe.shape) - mhat(probe)))
         record("dense-sum-of-count-projections",
-               float(np.max(np.abs(summed - identity))))
-        lhs_dense = dense_operator(
-            lambda v: mhat(blocks[1](f_pair(block_alt[0](v)))), lattice, n)
-        rhs_dense = dense_operator(
-            lambda v: blocks[1](f_pair(apply_weight(
-                block_alt[0](v), projector, w_m.shifted(1)))), lattice, n)
+               float(np.max(np.abs(_dense_weight(projector, np.ones(n + 1))
+                                   - np.eye(d ** n)))))
+        # Shift rule 10: M B1 F B0 = B1 F M_{+1} B0 with the blocks
+        # B0 = p (x) p (x) 1 and B1 = p (x) q (x) 1, and F the diagonal
+        # pair_random (x) 1, applied as a column or row scaling.
+        f_diag = np.kron(pair_random.ravel(), np.ones(d ** (n - 2)))
+        shifted_dense = _dense_weight(projector, w_m.shifted(1).values)
+        difference = (_kron_right(m_dense, [p_one, q_one]) * f_diag
+                      - _kron_left([p_one, q_one], f_diag[:, None] * shifted_dense))
         record("dense-shift-rule-10",
-               float(np.max(np.abs(lhs_dense - rhs_dense))))
+               float(np.max(np.abs(_kron_right(difference, [p_one, p_one])))))
+        lhs_probe = m_dense @ _kron_left(
+            [p_one, q_one], f_diag * _kron_left([p_one, p_one], probe.ravel()))
+        record("dense-shift-rule-10-matches-tensor",
+               norm(lhs_probe.reshape(probe.shape)
+                    - mhat(blocks[1](f_pair(block_alt[0](probe))))))
 
     return OperatorAlgebraReport(n, lattice.m, int(seed), tuple(checks))
 

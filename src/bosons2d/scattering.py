@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +48,8 @@ __all__ = [
 
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
+# Largest N whose e^N, the core compression factor, is a finite double.
+_MAX_EXP_N = int(math.log(sys.float_info.max))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,10 +332,15 @@ class MicroscopicPair:
         out = np.ones_like(r)
         U = self._u_at_R
         a = self.scattering_length
-        core = r < self._core_radius
+        # r = 0 is in the core even where e^-N underflows the core radius to 0.
+        core = (r < self._core_radius) | (r == 0.0)
         gap = (~core) & (r < self.inner_radius)
         ann = (r >= self.inner_radius) & (r < self.R_beta)
         if np.any(core):
+            if self.N > _MAX_EXP_N:
+                raise ValueError(
+                    f"f inside the core needs e^N, which overflows a double for "
+                    f"N = {self.N} > {_MAX_EXP_N}")
             scaled = r[core] * math.exp(self.N)
             # evaluate() is normalized at the support edge; undo that to get
             # the s(0) = 1 branch the gap logarithm continues.

@@ -666,6 +666,18 @@ def test_algebra_suite_dense_checks_toggle_with_dimension():
     assert report_big.passed, report_big.failures()
 
 
+def test_algebra_suite_dense_oracle_catches_a_broken_tensor_action(monkeypatch):
+    lat = Lattice2D(3, 1.0)
+    proj = CondensateProjector(lat, lattice_field(lat))
+    assert operator_algebra_suite(proj, 2, seed=0).passed
+    exact = CondensateProjector.apply_p
+    monkeypatch.setattr(CondensateProjector, "apply_p",
+                        lambda self, amplitudes, particle:
+                        (1.0 + 1e-6) * exact(self, amplitudes, particle))
+    report = operator_algebra_suite(proj, 2, seed=0)
+    assert "dense-weight-matches-tensor" in report.failures()
+
+
 def test_algebra_suite_seed_sweep():
     lat = Lattice2D(3, 1.0)
     proj = CondensateProjector(lat, lattice_field(lat))

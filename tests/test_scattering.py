@@ -296,3 +296,16 @@ def test_pair_rejects_overlapping_core():
     # N = 3, beta = 10: the hole radius 3^-10 sits inside e^-3 * 0.5.
     with pytest.raises(ValueError):
         build_microscopic(square_well(4.0, 0.5), N=3, beta=10.0)
+
+
+@pytest.mark.parametrize("N", [720, 750])
+def test_core_value_fails_loudly_once_e_to_the_n_overflows(N):
+    # e^N overflows a double beyond N = 709. At N = 720 the core radius e^-N
+    # is subnormal, at 750 it underflows to 0; f inside the core, r = 0
+    # included, needs e^N either way, while the gap and annulus do not.
+    p = build_microscopic(square_well(4.0, 0.5), N=N, beta=0.5)
+    with pytest.raises(ValueError, match=f"N = {N} > 709"):
+        p.f_evaluate(np.array([p._core_radius / 2, 0.0]))
+    with pytest.raises(ValueError, match=f"N = {N} > 709"):
+        p.g_evaluate(0.0)
+    assert np.all(np.isfinite(p.f_evaluate(np.array([1e-300, 0.5 * p.inner_radius]))))
