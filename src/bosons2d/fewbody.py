@@ -19,7 +19,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 import scipy.fft
 
-from .gp import ExternalField, Lattice2D, _read_tensor, _write_tensor
+from .gp import ExternalField, Lattice2D, _csv_recorder, _read_tensor, _write_tensor
 
 __all__ = [
     "Lattice2D",
@@ -364,14 +364,9 @@ def fewbody_recorder(stream: TextIO, hamiltonian: DiscreteHamiltonian,
                      extra: Callable[[FewBodyState], float] | None = None,
                      ) -> Callable[[FewBodyState], None]:
     """Observer writing CSV rows (t, norm, energy per particle, extra)."""
-    stream.write("t,norm,energy_per_particle,extra\n")
-
-    def record(state: FewBodyState) -> None:
-        tail = float("nan") if extra is None else float(extra(state))
-        stream.write("%.17g,%.17g,%.17g,%.17g\n" % (
-            state.time, state.norm(), energy_per_particle(state, hamiltonian), tail))
-
-    return record
+    return _csv_recorder(stream, "t,norm,energy_per_particle,extra", lambda state: (
+        state.time, state.norm(), energy_per_particle(state, hamiltonian),
+        float("nan") if extra is None else float(extra(state))))
 
 
 def write_fewbody_checkpoint(state: FewBodyState, path: str) -> None:

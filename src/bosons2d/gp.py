@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import warnings
-from typing import Callable, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 import scipy.fft
@@ -321,17 +321,23 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
     return GpState(grid, psi, at_time)
 
 
+def _csv_recorder(stream: TextIO, header: str,
+                  row: Callable[[Any], tuple[float, ...]]) -> Callable[[Any], None]:
+    """Observer writing the header line now and one %.17g CSV row per state."""
+    stream.write(header + "\n")
+
+    def record(state: Any) -> None:
+        stream.write(",".join("%.17g" % value for value in row(state)) + "\n")
+
+    return record
+
+
 def trajectory_recorder(stream: TextIO, field: ExternalField,
                         params: GpParams) -> Callable[[GpState], None]:
     """Observer writing CSV rows (t, norm, energy, peak density) to a stream."""
-    stream.write("t,norm,energy,peak_density\n")
-
-    def record(state: GpState) -> None:
-        peak = float(np.max(np.abs(state.amplitudes) ** 2))
-        stream.write("%.17g,%.17g,%.17g,%.17g\n" % (
-            state.time, state.norm(), gp_energy(state, field, params), peak))
-
-    return record
+    return _csv_recorder(stream, "t,norm,energy,peak_density", lambda state: (
+        state.time, state.norm(), gp_energy(state, field, params),
+        float(np.max(np.abs(state.amplitudes) ** 2))))
 
 
 _CHECKPOINT_CODES = {"complex64": "<c8", "complex128": "<c16"}

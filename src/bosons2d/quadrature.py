@@ -10,6 +10,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# Simpson subintervals of the coarsest pass; the halving stops after
+# _MAX_DOUBLINGS passes or once the estimate is below rtol * |value| + _ATOL.
+_N0 = 64
+_ATOL = 1e-300
+_MAX_DOUBLINGS = 14
+
 
 def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                       n: int = 128) -> float:
@@ -26,29 +32,28 @@ def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                         n0: int = 64, rtol: float = 1e-11, atol: float = 1e-300,
-                         max_doublings: int = 14) -> tuple[float, float]:
+                         rtol: float = 1e-11) -> tuple[float, float]:
     """Simpson value with an error estimate from successive grid halving.
 
     Returns (value, estimated_error). The estimate is the difference between
     the two finest levels; iteration stops once it drops below tolerance.
     """
-    n = n0
+    n = _N0
     prev = composite_simpson(f, a, b, n)
     err = np.inf
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n *= 2
         cur = composite_simpson(f, a, b, n)
         err = abs(cur - prev)
         prev = cur
-        if err <= rtol * max(abs(cur), atol) + atol:
+        if err <= rtol * max(abs(cur), _ATOL) + _ATOL:
             break
     return prev, err
 
 
 def piecewise_simpson(f: Callable[[np.ndarray], np.ndarray],
                       breakpoints: Sequence[float],
-                      n0: int = 64, rtol: float = 1e-11) -> tuple[float, float]:
+                      rtol: float = 1e-11) -> tuple[float, float]:
     """Simpson-with-halving on each piece; breakpoints isolate kinks or jumps."""
     pts = sorted(float(p) for p in breakpoints)
     total = 0.0
@@ -56,7 +61,7 @@ def piecewise_simpson(f: Callable[[np.ndarray], np.ndarray],
     for lo, hi in zip(pts[:-1], pts[1:]):
         if hi <= lo:
             continue
-        v, e = simpson_with_halving(f, lo, hi, n0=n0, rtol=rtol)
+        v, e = simpson_with_halving(f, lo, hi, rtol=rtol)
         total += v
         err += e
     return total, err
@@ -64,8 +69,8 @@ def piecewise_simpson(f: Callable[[np.ndarray], np.ndarray],
 
 def radial_area_integral(f: Callable[[np.ndarray], np.ndarray],
                          breakpoints: Sequence[float],
-                         n0: int = 64, rtol: float = 1e-11) -> tuple[float, float]:
+                         rtol: float = 1e-11) -> tuple[float, float]:
     """Integral of f over the plane for radial f: 2*pi*int r f(r) dr."""
     value, err = piecewise_simpson(lambda r: r * np.asarray(f(r), dtype=float),
-                                   breakpoints, n0=n0, rtol=rtol)
+                                   breakpoints, rtol=rtol)
     return 2.0 * np.pi * value, 2.0 * np.pi * err

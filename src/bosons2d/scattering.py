@@ -18,6 +18,7 @@ core, so no grid ever has to resolve the e^(-N) core scale.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from typing import Callable, Sequence
@@ -50,6 +51,10 @@ _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
 # Largest N whose e^N, the core compression factor, is a finite double.
 _MAX_EXP_N = int(math.log(sys.float_info.max))
+# Geometric bracket scan for the outer radius of the softened pair: step
+# factor, and the largest radius tried as a multiple of the inner one.
+_SCAN_FACTOR = 1.02
+_MAX_SCAN_RATIO = 1e3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,63 +117,55 @@ def potential_from_table(r: np.ndarray, v: np.ndarray, description: str = "table
 
 
 @dataclasses.dataclass(frozen=True)
-class ScatteringSolution:
-    """Radial zero-energy solution with its coupling integral and length scale.
+class _RadialSolve:
+    """Regular solution on [0, r_end] in the s(0) = 1 normalization.
 
-    integral_I is the quadrature value of 2*pi*int r V s dr; the scattering
-    length comes from the terminal slope, so the two satisfy
-    I = 4*pi/ln(R/a) only up to solver error. That residual is the primary
-    internal consistency check. scattering_length is 0 when I is 0.
+    u_end and w_end are u = s and w = r s' at r_end. Below series_radius the
+    solution is the series 1 + series_coeff r^2; above it, the DOP853 dense
+    segments. cuts are the quadrature pieces: the series disc, the
+    potential's kinks and its support edge.
     """
-    r_grid: np.ndarray
-    s_values: np.ndarray
-    boundary_radius: float
-    integral_I: float
-    scattering_length: float
     potential: RadialPotential
-    terminal_slope: float
-    _series_radius: float = dataclasses.field(repr=False, default=0.0)
-    _series_coeff: float = dataclasses.field(repr=False, default=0.0)
-    _segments: tuple = dataclasses.field(repr=False, default=())
-    _norm: float = dataclasses.field(repr=False, default=1.0)
+    r_end: float
+    u_end: float
+    w_end: float
+    scattering_length: float
+    series_radius: float
+    series_coeff: float
+    segments: tuple
+    cuts: tuple[float, ...]
 
-    def evaluate(self, r: np.ndarray | float) -> np.ndarray:
-        """Solution value s(r), normalized to s(R) = 1, for 0 <= r <= R."""
+    def values(self, r: np.ndarray | float) -> np.ndarray:
+        """u(r) = s(r) with s(0) = 1, for 0 <= r <= r_end."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        tiny = r < self._series_radius
-        out[tiny] = (1.0 + self._series_coeff * r[tiny] ** 2) / self._norm
-        for lo, hi, dense in self._segments:
-            mask = (~tiny) & (r >= lo) & (r <= hi)
-            if np.any(mask):
-                out[mask] = dense(r[mask])[0] / self._norm
-        beyond = r > self.boundary_radius
-        if np.any(beyond):
+        if np.any(r > self.r_end):
             raise ValueError("evaluation outside the solved interval")
-        return out
-
-    def slope(self, r: np.ndarray | float) -> np.ndarray:
-        """Derivative s'(r) = w(r)/r with the same normalization."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r)
-        tiny = r < self._series_radius
-        out[tiny] = 2.0 * self._series_coeff * r[tiny] / self._norm
-        for lo, hi, dense in self._segments:
+        tiny = r < self.series_radius
+        out[tiny] = 1.0 + self.series_coeff * r[tiny] ** 2
+        for lo, hi, dense in self.segments:
             mask = (~tiny) & (r >= lo) & (r <= hi)
             if np.any(mask):
-                out[mask] = dense(r[mask])[1] / (r[mask] * self._norm)
+                out[mask] = dense(r[mask])[0]
         return out
 
+    def coupling(self, norm: float = 1.0) -> float:
+        """2*pi*int r V s dr by quadrature, for the solution scaled to s = u / norm."""
+        value, _ = radial_area_integral(
+            lambda r: self.potential(r) * (self.values(r) / norm), self.cuts, rtol=1e-12)
+        return value
 
-def _integrate_radial(potential: RadialPotential, r_end: float) -> tuple:
+
+def _integrate_radial(potential: RadialPotential, r_end: float) -> _RadialSolve:
     """Integrate the regular solution out to r_end with s(0) = 1.
 
-    Returns (u_end, w_end, segments, series_radius, series_coeff) where
-    u = s and w = r s' in the s(0) = 1 normalization.
+    The scattering length r_end exp(-u/w) comes from the exterior logarithm;
+    it is 0 iff w <= 0, and an underflow to 0 at w > 0 raises.
     """
     v0 = float(potential(np.array([0.0]))[0])
     series_coeff = v0 / 8.0
-    r_min = min(potential.support_radius, r_end) * 1e-4
+    support = min(potential.support_radius, r_end)
+    r_min = support * 1e-4
     u = 1.0 + series_coeff * r_min ** 2
     w = 2.0 * series_coeff * r_min ** 2  # w = r s' = (V0/4) r^2
 
@@ -176,11 +173,11 @@ def _integrate_radial(potential: RadialPotential, r_end: float) -> tuple:
         vol = float(potential(np.array([r]))[0])
         return [yv[1] / r, 0.5 * r * vol * yv[0]]
 
-    cuts = sorted({r_min, r_end, min(potential.support_radius, r_end),
-                   *(b for b in potential.internal_breakpoints() if r_min < b < r_end)})
+    breakpoints = potential.internal_breakpoints()
+    ode_cuts = sorted({r_min, r_end, support, *(b for b in breakpoints if r_min < b < r_end)})
     segments = []
     y = np.array([u, w])
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi in zip(ode_cuts[:-1], ode_cuts[1:]):
         if hi <= lo:
             continue
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", dense_output=True,
@@ -189,64 +186,68 @@ def _integrate_radial(potential: RadialPotential, r_end: float) -> tuple:
             raise RuntimeError(f"radial integration failed on [{lo}, {hi}]: {sol.message}")
         segments.append((lo, hi, sol.sol))
         y = sol.y[:, -1]
-    return float(y[0]), float(y[1]), tuple(segments), r_min, series_coeff
+    u_end, w_end = float(y[0]), float(y[1])
+
+    a = 0.0
+    if w_end > 0.0:
+        a = r_end * math.exp(-u_end / w_end)
+        if a == 0.0:
+            raise ValueError(
+                f"scattering length of {potential.description or 'the potential'} underflows "
+                f"to 0: ln(r/a) = u/w = {u_end / w_end:.6g} at r = {r_end!r}")
+    return _RadialSolve(potential, r_end, u_end, w_end, a, r_min, series_coeff,
+                        tuple(segments), (0.0, r_min, *breakpoints, support))
 
 
-def solve_zero_energy(potential: RadialPotential, boundary_radius: float,
-                      n_grid: int = 512) -> ScatteringSolution:
+@dataclasses.dataclass(frozen=True)
+class ScatteringSolution:
+    """Radial zero-energy solution normalized to s(R) = 1, with its length scale.
+
+    integral_I is the quadrature value of 2*pi*int r V s dr, computed on first
+    read; the scattering length comes from the terminal slope, so the two
+    satisfy I = 4*pi/ln(R/a) only up to solver error. That residual is the
+    primary internal consistency check. scattering_length is 0 iff the
+    terminal slope is not positive (a zero potential).
+    """
+    boundary_radius: float
+    potential: RadialPotential
+    scattering_length: float
+    terminal_slope: float
+    _solve: _RadialSolve = dataclasses.field(repr=False)
+
+    @property
+    def _norm(self) -> float:
+        """u(R) in the s(0) = 1 normalization."""
+        return self._solve.u_end
+
+    @functools.cached_property
+    def integral_I(self) -> float:
+        """Coupling integral 2*pi*int r V s dr by quadrature, for s(R) = 1."""
+        return self._solve.coupling(self._solve.u_end)
+
+    def evaluate(self, r: np.ndarray | float) -> np.ndarray:
+        """Solution value s(r), normalized to s(R) = 1, for 0 <= r <= R."""
+        return self._solve.values(r) / self._solve.u_end
+
+
+def solve_zero_energy(potential: RadialPotential, boundary_radius: float) -> ScatteringSolution:
     """Solve the zero-energy problem with s(boundary_radius) = 1.
 
-    The scattering length comes from the terminal slope (exterior logarithm
-    matching); the coupling integral from quadrature of 2*pi*r*V*s. For a
-    zero potential the solution is identically 1 with I = 0 and a = 0.
+    The scattering length comes from the terminal data (exterior logarithm
+    matching): a = R exp(-u/w). For a zero potential the solution is
+    identically 1 with I = 0 and a = 0.
     """
     R = float(boundary_radius)
     if R < potential.support_radius:
         raise ValueError("boundary radius must not cut into the potential support")
-    u_R, w_R, segments, series_radius, series_coeff = _integrate_radial(potential, R)
-
-    # Sample grid: logarithmic near the origin, linear across the bulk.
-    n_log = n_grid // 2
-    r_log = np.geomspace(series_radius, min(potential.support_radius, R), n_log, endpoint=False)
-    r_lin = np.linspace(min(potential.support_radius, R), R, n_grid - n_log)
-    r_grid = np.unique(np.concatenate([[0.0], r_log, r_lin]))
-
-    sol = ScatteringSolution(
-        r_grid=r_grid,
-        s_values=np.empty(0),
-        boundary_radius=R,
-        integral_I=0.0,
-        scattering_length=0.0,
-        potential=potential,
-        terminal_slope=w_R / (R * u_R),
-        _series_radius=series_radius,
-        _series_coeff=series_coeff,
-        _segments=segments,
-        _norm=u_R,
-    )
-    s_values = sol.evaluate(r_grid)
-
-    support = min(potential.support_radius, R)
-    cuts = [0.0, series_radius, *potential.internal_breakpoints(), support]
-    quad_I, _ = radial_area_integral(
-        lambda r: potential(r) * sol.evaluate(r), cuts, rtol=1e-12)
-
-    if w_R <= 0.0 or quad_I <= 0.0:
-        a = 0.0
-        quad_I = max(quad_I, 0.0)
-    else:
-        # I = 4*pi*R*s'(R) and the exterior logarithm give a = R exp(-u/w).
-        a = R * math.exp(-u_R / w_R)
-    return dataclasses.replace(sol, s_values=s_values, integral_I=quad_I, scattering_length=a)
+    solve = _integrate_radial(potential, R)
+    return ScatteringSolution(R, potential, solve.scattering_length,
+                              solve.w_end / (R * solve.u_end), solve)
 
 
 def integral_I(sol: ScatteringSolution) -> float:
     """Coupling integral 2*pi*int r V(r) s(r) dr by quadrature."""
-    support = min(sol.potential.support_radius, sol.boundary_radius)
-    cuts = [0.0, sol._series_radius, *sol.potential.internal_breakpoints(), support]
-    value, _ = radial_area_integral(
-        lambda r: sol.potential(r) * sol.evaluate(r), cuts, rtol=1e-12)
-    return value
+    return sol.integral_I
 
 
 def scaled_scattering_identity(potential: RadialPotential, N: int,
@@ -267,24 +268,13 @@ def scaled_scattering_identity(potential: RadialPotential, N: int,
         raise ValueError("boundary radius lies inside the compressed support")
 
     r0 = potential.support_radius
-    u0, w0, segments, series_radius, series_coeff = _integrate_radial(potential, r0)
+    solve = _integrate_radial(potential, r0)
     # In unscaled variables the state extends by a pure logarithm out to e^N R.
-    log_factor = N + math.log(R / r0)
-    u_boundary = u0 + w0 * log_factor
+    u_boundary = solve.u_end + solve.w_end * (N + math.log(R / r0))
+    value = solve.coupling() / u_boundary
 
-    helper = ScatteringSolution(
-        r_grid=np.empty(0), s_values=np.empty(0), boundary_radius=r0,
-        integral_I=0.0, scattering_length=0.0, potential=potential,
-        terminal_slope=w0 / (r0 * u0), _series_radius=series_radius,
-        _series_coeff=series_coeff, _segments=segments, _norm=1.0)
-    cuts = [0.0, series_radius, *potential.internal_breakpoints(), r0]
-    quad, _ = radial_area_integral(
-        lambda r: potential(r) * helper.evaluate(r), cuts, rtol=1e-12)
-    value = quad / u_boundary
-
-    if w0 > 0.0:
-        a = r0 * math.exp(-u0 / w0)
-        closed = 4.0 * math.pi / (N + math.log(R / a))
+    if solve.w_end > 0.0:
+        closed = 4.0 * math.pi / (N + math.log(R / solve.scattering_length))
         if abs(value - closed) > 1e-8 * abs(closed):
             raise RuntimeError(
                 "coupling integral disagrees with the log closed form: "
@@ -373,8 +363,7 @@ def _annulus_coeffs(k: float, r1: float, value: float, slope: float) -> tuple[fl
     return float(A), float(B)
 
 
-def build_microscopic(potential: RadialPotential, N: int, beta: float,
-                      scan_factor: float = 1.02, max_scan_ratio: float = 1e3) -> MicroscopicPair:
+def build_microscopic(potential: RadialPotential, N: int, beta: float) -> MicroscopicPair:
     """Construct the softened pair for particle number N and exponent beta.
 
     The construction is exact up to Bessel evaluation: the core is the solved
@@ -423,8 +412,8 @@ def build_microscopic(potential: RadialPotential, N: int, beta: float,
     scan_up = [u_prime(scan_r[0])]
     r_hi = scan_r[0]
     while scan_up[-1] > 0.0:
-        r_hi *= scan_factor
-        if r_hi > r1 * max_scan_ratio:
+        r_hi *= _SCAN_FACTOR
+        if r_hi > r1 * _MAX_SCAN_RATIO:
             raise RuntimeError(
                 "no sign change of the radial derivative within the scan range; "
                 f"trace has {len(scan_r)} samples up to r = {scan_r[-1]!r}")
@@ -496,10 +485,8 @@ def _g_norms(pair: MicroscopicPair) -> tuple[float, float, float]:
         return rho * (1.0 - core.evaluate(rho) * core._norm / (w0 * U)) ** 2
 
     if scale > 0.0:
-        cuts = [0.0, core._series_radius, *pair.base_potential.internal_breakpoints(),
-                pair.base_potential.support_radius]
-        core1, _ = piecewise_simpson(core_l1, cuts, rtol=1e-12)
-        core2, _ = piecewise_simpson(core_l2, cuts, rtol=1e-12)
+        core1, _ = piecewise_simpson(core_l1, core._solve.cuts, rtol=1e-12)
+        core2, _ = piecewise_simpson(core_l2, core._solve.cuts, rtol=1e-12)
         gap_lo_l1 = _gap_antideriv_l1(np.array([rc]), c, U)[0]
         gap_lo_l2 = _gap_antideriv_l2(np.array([rc]), c, U)[0]
     else:

@@ -35,6 +35,12 @@ def manifest_of(out_root: Path, scenario: str) -> dict:
 # ----------------------------------------------------------------- config
 
 
+def test_scattering_run_rejects_an_underflowing_scattering_length(tmp_path):
+    config = load_config("scattering", {"potential": {"height": 1e-4}, "out_dir": str(tmp_path)})
+    with pytest.raises(ValueError, match="underflows"):
+        run(config)
+
+
 def test_every_scenario_has_valid_defaults():
     for scenario in cli.SCENARIOS:
         config = load_config(scenario)

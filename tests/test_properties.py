@@ -1,5 +1,5 @@
-"""Property tests of the shared periodic lattice and the count algebra against
-independent dense oracles."""
+"""Property tests of the shared periodic lattice, the count algebra and the
+radial scattering solve against independent closed-form and dense oracles."""
 import functools
 import itertools
 import math
@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import i0, i1
 
 from bosons2d.diagnostics import (
     CondensateProjector,
@@ -16,6 +17,7 @@ from bosons2d.diagnostics import (
     mean_field_energy,
 )
 from bosons2d.fewbody import Lattice2D
+from bosons2d.scattering import scaled_scattering_identity, solve_zero_energy, square_well
 
 
 def dense_minus_laplacian(m: int, box_length: float) -> np.ndarray:
@@ -103,3 +105,24 @@ def test_count_algebra_matches_kronecker_oracle(n, m, box_length, seed):
     p_first = np.kron(projector.p_matrix, np.eye(d ** (n - 1)))
     assert (np.linalg.norm(weighted @ p_first - p_first @ weighted)
             <= 1e-12 * np.linalg.norm(weighted))
+
+
+@settings(max_examples=30, deadline=None)
+@given(r0=st.floats(0.1, 1.0), x=st.floats(0.3, 5.0),
+       boundary_ratio=st.floats(1.05, 8.0), N=st.integers(0, 20))
+def test_square_well_solve_matches_bessel_oracle(r0, x, boundary_ratio, N):
+    """Inside a well of height h the regular solution is I0(x r / r0) with
+    x = r0 sqrt(h/2); matching the exterior logarithm at r0 gives
+    a = r0 exp(-I0(x) / (x I1(x))). Below x ~ 0.15 this form itself loses
+    accuracy (its error grows like 2/x^2), hence the lower bound on x."""
+    well = square_well(2.0 * (x / r0) ** 2, r0)
+    R = r0 * boundary_ratio
+    a = r0 * math.exp(-i0(x) / (x * i1(x)))
+    sol = solve_zero_energy(well, R)
+    assert sol.scattering_length == pytest.approx(a, rel=1e-8, abs=0.0)
+    assert sol.integral_I == pytest.approx(4.0 * math.pi / math.log(R / a), rel=1e-8, abs=0.0)
+    assert scaled_scattering_identity(well, N, R) \
+        == pytest.approx(4.0 * math.pi / (N + math.log(R / a)), rel=1e-8, abs=0.0)
+    s = sol.evaluate(np.linspace(0.0, R, 401))
+    assert np.all(np.diff(s) >= 0.0)
+    assert abs(s[-1] - 1.0) <= 1e-12

@@ -69,14 +69,22 @@ def test_two_route_coupling_identity(potential, R):
     assert abs(integral_I(sol) - sol.integral_I) <= 1e-12 * sol.integral_I
 
 
+def profile_grid(radius: float, boundary_radius: float) -> np.ndarray:
+    """512 radii: logarithmic from 1e-4 of the support to its edge, then linear."""
+    return np.unique(np.concatenate([
+        [0.0], np.geomspace(radius * 1e-4, radius, 256, endpoint=False),
+        np.linspace(radius, boundary_radius, 256)]))
+
+
 def test_solution_profile_shape():
     sol = solve_zero_energy(square_well(**WELL), boundary_radius=2.0)
-    s = sol.s_values
+    grid = profile_grid(WELL["radius"], 2.0)
+    s = sol.evaluate(grid)
     assert np.all(s > 0.0)
     assert np.all(s <= 1.0 + 1e-12)
     assert np.all(np.diff(s) >= -1e-12)
     # Pointwise lower bound by the pure-log comparison profile.
-    r = sol.r_grid[sol.r_grid > 0]
+    r = grid[grid > 0]
     lower = 1.0 + sol.integral_I / (4.0 * math.pi) * np.log(r / sol.boundary_radius)
     assert np.all(sol.evaluate(r) >= lower - 1e-10)
 
@@ -93,7 +101,7 @@ def test_zero_potential_degenerates():
     sol = solve_zero_energy(square_well(0.0, 0.5), boundary_radius=2.0)
     assert sol.scattering_length == 0.0
     assert sol.integral_I == 0.0
-    assert np.max(np.abs(sol.s_values - 1.0)) <= 1e-13
+    assert np.max(np.abs(sol.evaluate(profile_grid(0.5, 2.0)) - 1.0)) <= 1e-13
 
 
 def test_boundary_inside_support_rejected():
@@ -134,6 +142,21 @@ def test_scaled_identity_closed_form():
 def test_scaled_identity_rejects_tight_boundary():
     with pytest.raises(ValueError):
         scaled_scattering_identity(square_well(**WELL), 0, boundary_radius=0.3)
+
+
+# ln(R/a) = u/w is about 1.6e5 here, so a = R exp(-u/w) underflows a double.
+FAINT_WELL = square_well(1e-4, 0.5)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: solve_zero_energy(FAINT_WELL, boundary_radius=2.0),
+    lambda: scaled_scattering_identity(FAINT_WELL, 4, boundary_radius=2.0),
+    lambda: build_microscopic(FAINT_WELL, N=16, beta=0.5),
+], ids=["solve_zero_energy", "scaled_scattering_identity", "build_microscopic"])
+def test_underflowing_scattering_length_fails_loudly(entry):
+    with pytest.raises(ValueError, match=r"square well \(height=0\.0001, radius=0\.5\) "
+                                         r"underflows.*ln\(r/a\) = u/w = 16000\d"):
+        entry()
 
 
 # ---------------------------------------------------------------- pair layer
