@@ -36,6 +36,7 @@ from .diagnostics import (
     weight_expectation,
 )
 from .fewbody import (
+    DIMENSION_BUDGET,
     FewBodyState,
     Lattice2D,
     build_hamiltonian,
@@ -136,8 +137,6 @@ class ExperimentConfig:
         if self.scenario in ("fewbody", "compare"):
             if len(values) != 1:
                 raise ValueError("n_values: dynamics scenarios take exactly one entry")
-            if values[0] > 4:
-                raise ValueError("n_values: at most 4 particles are representable")
         if self.scenario == "compare" and values[0] < 2:
             raise ValueError("n_values: the comparison needs at least 2 particles")
         if not (0 < self.beta and math.isfinite(self.beta)):
@@ -158,6 +157,10 @@ class ExperimentConfig:
         object.__setattr__(self, "lattice_points", m)
         if m < 2:
             raise ValueError("lattice_points: must be at least 2")
+        if self.scenario in ("fewbody", "compare") and m ** (2 * values[0]) > DIMENSION_BUDGET:
+            raise ValueError(
+                f"n_values: {values[0]} particles on {m}x{m} sites span dimension "
+                f"{m ** (2 * values[0])}, above the budget {DIMENSION_BUDGET}")
         if not (self.box_length > 0 and math.isfinite(self.box_length)):
             raise ValueError("box_length: must be positive and finite")
         if not (self.boundary_radius > self.potential.radius):

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.fft
 
 from .fewbody import (
+    DIMENSION_BUDGET,
     FewBodyState,
     Lattice2D,
     _pair_site_table,
@@ -37,10 +38,9 @@ from .fewbody import (
     energy_per_particle,
     propagate,
 )
-from .gp import ExternalField, _mean_field_energy
+from .gp import ExternalField, _mean_field_energy, _strang
 
 __all__ = [
-    "MAX_COUNTING_PARTICLES",
     "CondensateProjector",
     "WeightFunction",
     "number_weight",
@@ -73,9 +73,6 @@ __all__ = [
     "CutoffReport",
     "cutoff_indicators",
 ]
-
-# The count distribution needs all 2^N projector products.
-MAX_COUNTING_PARTICLES = 4
 
 EFFECTIVE_COUPLING = 4.0 * math.pi
 
@@ -217,9 +214,6 @@ def count_components(amplitudes: np.ndarray,
     O(N^2) single-particle applications rather than 2^N.
     """
     n = amplitudes.ndim
-    if n > MAX_COUNTING_PARTICLES:
-        raise ValueError(
-            f"count expansion limited to {MAX_COUNTING_PARTICLES} particles, got {n}")
     components: list[np.ndarray | None] = [amplitudes]
     for particle in range(n):
         grown: list[np.ndarray | None] = [None] * (len(components) + 1)
@@ -336,9 +330,6 @@ def number_expectations(state: FewBodyState,
                         projector: CondensateProjector) -> NumberExpectations:
     """Count distribution P(k) plus first and second relative moments."""
     n = state.n_particles
-    if n > MAX_COUNTING_PARTICLES:
-        raise ValueError(
-            f"count expansion limited to {MAX_COUNTING_PARTICLES} particles, got {n}")
     distribution = _count_distribution(state, projector)
     k = np.arange(n + 1, dtype=float)
     n_expect = float(np.sum(np.sqrt(k / n) * distribution))
@@ -358,17 +349,6 @@ def weight_expectation(state: FewBodyState, projector: CondensateProjector,
     return float(np.sum(weight.values * distribution))
 
 
-def _field_table(field: ExternalField | np.ndarray | None, lattice: Lattice2D,
-                 t: float) -> np.ndarray:
-    if field is None:
-        return np.zeros((lattice.m, lattice.m))
-    if isinstance(field, np.ndarray):
-        if field.shape != (lattice.m, lattice.m):
-            raise ValueError("static field table must be (m, m)")
-        return field
-    return field.evaluate(lattice, t)
-
-
 def mean_field_energy(phi: np.ndarray, lattice: Lattice2D, coupling: float,
                       field_values: np.ndarray | None = None) -> float:
     """Mean-field energy of a lattice field with the spectral kinetic term."""
@@ -377,21 +357,11 @@ def mean_field_energy(phi: np.ndarray, lattice: Lattice2D, coupling: float,
 
 
 def mean_field_step(phi: np.ndarray, lattice: Lattice2D, coupling: float,
-                    field: ExternalField | np.ndarray | None = None,
-                    t: float = 0.0, dt: float = 1e-3) -> np.ndarray:
-    """One Strang step of the cubic mean-field equation on the lattice.
-
-    Mirrors the continuum stepper: half phase with the field at t, full
-    spectral kinetic factor, half phase with the field at t + dt and the
-    updated density. A plain array field is held static across the step.
-    """
-    a_now = _field_table(field, lattice, t)
-    a_next = a_now if (field is None or isinstance(field, np.ndarray)) \
-        else field.evaluate(lattice, t + dt)
-    psi = phi * np.exp(-0.5j * dt * (a_now + coupling * np.abs(phi) ** 2))
-    # Not shared with gp.step: complex multiply is not bitwise commutative.
-    psi = scipy.fft.ifft2(np.exp(-1j * dt * lattice.kinetic_symbol()) * scipy.fft.fft2(psi))
-    return psi * np.exp(-0.5j * dt * (a_next + coupling * np.abs(psi) ** 2))
+                    field_values: np.ndarray | None = None, dt: float = 1e-3) -> np.ndarray:
+    """One real-time step of the cubic mean-field equation on the lattice,
+    by the splitting `gp.step` uses, with the table held static."""
+    a_now = np.zeros(phi.shape) if field_values is None else field_values
+    return _strang(phi, lattice, coupling, a_now, a_now, 1j * dt)
 
 
 def energy_gap(state: FewBodyState, projector: CondensateProjector,
@@ -590,7 +560,7 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
             f"state must be exchange symmetric, defect {defect:.3e}")
     lattice = state.lattice
     cell_n = projector.cell ** n
-    a_static = _field_table(field, lattice, state.time)
+    a_static = None if field is None else field.evaluate(lattice, state.time)
     hamiltonian = build_hamiltonian(lattice, n, interaction, field,
                                     t=state.time)
     method = "dense" if lattice.d ** n <= 4096 else "auto"
@@ -598,9 +568,7 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
 
     def expectation(shifted: float) -> float:
         moved = propagate(state, hamiltonian, shifted, method=method)
-        phi_t = projector.phi
-        phi_t = mean_field_step(phi_t, lattice, coupling, a_static,
-                                t=state.time, dt=shifted)
+        phi_t = mean_field_step(projector.phi, lattice, coupling, a_static, dt=shifted)
         return weight_expectation(moved, CondensateProjector(lattice, phi_t),
                                   weight)
 
@@ -1019,9 +987,11 @@ def cutoff_indicators(lattice: Lattice2D, n_particles: int, d_exponent: float,
     the partner site.
     """
     n = int(n_particles)
-    if n < 2 or n > MAX_COUNTING_PARTICLES:
+    if n < 2:
+        raise ValueError("indicator diagnostics need at least 2 particles")
+    if lattice.d ** n > DIMENSION_BUDGET:
         raise ValueError(
-            f"indicator diagnostics cover 2..{MAX_COUNTING_PARTICLES} particles")
+            f"indicator tables of dimension {lattice.d ** n} exceed budget {DIMENSION_BUDGET}")
     if lattice != projector.lattice:
         raise ValueError("projector must live on the given lattice")
     threshold = float(n) ** (-float(d_exponent))

@@ -61,8 +61,8 @@ class FewBodyState:
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.ndim < 1 or amp.ndim > 4:
-            raise ValueError("particle count must be between 1 and 4")
+        if amp.ndim < 1:
+            raise ValueError("particle count must be at least 1")
         if amp.shape != (self.lattice.d,) * amp.ndim:
             raise ValueError("amplitudes must have one axis of length m^2 per particle")
         if self.lattice.d ** amp.ndim > DIMENSION_BUDGET:
@@ -115,8 +115,8 @@ class DiscreteHamiltonian:
 
     def __post_init__(self) -> None:
         m, n = self.lattice.m, self.n_particles
-        if n < 1 or n > 4:
-            raise ValueError("particle count must be between 1 and 4")
+        if n < 1:
+            raise ValueError("particle count must be at least 1")
         dim = self.lattice.d ** n
         if dim > DIMENSION_BUDGET:
             raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")

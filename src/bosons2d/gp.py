@@ -7,6 +7,11 @@ step of the phase at the advanced time. Every stage is unitary, so the
 discrete L2 norm is conserved to roundoff regardless of dt; accuracy (not
 stability) is the only dt constraint, monitored through the energy.
 
+One private splitting, `_strang`, applies exp(-z H) in this order for a
+complex time z: z = i dt is the real-time step of `step` and of the lattice
+mean-field surrogate `diagnostics.mean_field_step`, and a real z = tau is the
+normalized gradient-flow step of `ground_state`.
+
 The kinetic symbol carries no 1/2: the Laplacian enters the equation bare,
 which fixes the free dispersion at |k|^2 and the Gaussian spreading law used
 by the tests.
@@ -197,19 +202,24 @@ class GpParams:
             raise ValueError("workers must be at least 1")
 
 
+def _strang(psi: np.ndarray, lattice: Lattice2D, coupling: float, a_now: np.ndarray,
+            a_next: np.ndarray, z: complex, workers: int = 1) -> np.ndarray:
+    """exp(-z H) by Strang splitting: half phase under a_now, kinetic factor
+    exp(-z |k|^2), half phase under a_next and the updated density."""
+    psi = psi * np.exp(-0.5 * z * (a_now + coupling * np.abs(psi) ** 2))
+    psi_hat = scipy.fft.fft2(psi, workers=workers)
+    psi_hat *= np.exp(-z * lattice.kinetic_symbol())
+    psi = scipy.fft.ifft2(psi_hat, workers=workers)
+    return psi * np.exp(-0.5 * z * (a_next + coupling * np.abs(psi) ** 2))
+
+
 def step(state: GpState, field: ExternalField, params: GpParams,
          dt: float | None = None) -> GpState:
     """One Strang step; dt overrides params.dt (negative reverses time)."""
     dt = params.dt if dt is None else float(dt)
     grid = state.grid
-    psi = state.amplitudes
-    a_now = field.evaluate(grid, state.time)
-    psi = psi * np.exp(-0.5j * dt * (a_now + params.coupling * np.abs(psi) ** 2))
-    psi_hat = scipy.fft.fft2(psi, workers=params.workers)
-    psi_hat *= np.exp(-1j * dt * grid.kinetic_symbol())
-    psi = scipy.fft.ifft2(psi_hat, workers=params.workers)
-    a_next = field.evaluate(grid, state.time + dt)
-    psi = psi * np.exp(-0.5j * dt * (a_next + params.coupling * np.abs(psi) ** 2))
+    psi = _strang(state.amplitudes, grid, params.coupling, field.evaluate(grid, state.time),
+                  field.evaluate(grid, state.time + dt), 1j * dt, params.workers)
     return GpState(grid, psi, state.time + dt)
 
 
@@ -281,30 +291,20 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
                  max_steps: int = 100000) -> GpState:
     """Imaginary-time descent to the energy minimizer at a fixed field time.
 
-    Normalized gradient-flow steps with the same splitting as `step`; a step
+    Normalized gradient-flow steps, `_strang` at real z = tau; a step
     that fails to decrease the energy is rejected and retried at half the
     step size, and a step size collapsing below 1e-14 raises RuntimeError
     with the descent record.
     """
     grid = seed.grid
     a_now = field.evaluate(grid, at_time)
-    k2 = grid.kinetic_symbol()
-    frozen = ExternalField.from_function(lambda x, y, t: a_now)
     psi = seed.normalized().amplitudes
     tau = params.dt
-
-    def descend(psi_in: np.ndarray, tau_in: float) -> np.ndarray:
-        out = psi_in * np.exp(-0.5 * tau_in * (a_now + params.coupling * np.abs(psi_in) ** 2))
-        out = scipy.fft.ifft2(np.exp(-tau_in * k2) * scipy.fft.fft2(out, workers=params.workers),
-                              workers=params.workers)
-        out = out * np.exp(-0.5 * tau_in * (a_now + params.coupling * np.abs(out) ** 2))
-        nrm = math.sqrt(float(np.sum(np.abs(out) ** 2)) * grid.spacing ** 2)
-        return out / nrm
-
-    energy = gp_energy(GpState(grid, psi, at_time), frozen, params)
+    energy = _mean_field_energy(psi, grid, params.coupling, a_now, params.workers)
     for iteration in range(int(max_steps)):
-        candidate = descend(psi, tau)
-        e_new = gp_energy(GpState(grid, candidate, at_time), frozen, params)
+        candidate = _strang(psi, grid, params.coupling, a_now, a_now, tau, params.workers)
+        candidate /= math.sqrt(float(np.sum(np.abs(candidate) ** 2)) * grid.spacing ** 2)
+        e_new = _mean_field_energy(candidate, grid, params.coupling, a_now, params.workers)
         if e_new > energy:
             tau *= 0.5
             if tau < 1e-14:

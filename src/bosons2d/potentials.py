@@ -261,20 +261,49 @@ class SmearedComparison:
     h vanishes identically outside the smearing disc (total charge is zero)
     and is nonpositive inside it: the charge difference W - U is positive
     near the origin, so h rises monotonically from its negative minimum at
-    r = 0 to the pinned value 0 at the disc edge.
+    r = 0 to the pinned value 0 at the disc edge. Each norm is computed on
+    its first read.
     """
     N: int
     beta: float
     beta1: float
     inner_support: float
     outer_support: float
-    norms: SmearedNorms
-    norm_errors: SmearedNorms
     charge_residual: float
     charge_knots: tuple[float, ...] = ()
     h_evaluate: Callable[[np.ndarray], np.ndarray] = dataclasses.field(repr=False, default=None)
     grad_evaluate: Callable[[np.ndarray], np.ndarray] = dataclasses.field(repr=False, default=None)
     rho_evaluate: Callable[[np.ndarray], np.ndarray] = dataclasses.field(repr=False, default=None)
+
+    def _cuts(self) -> list[float]:
+        """Quadrature breakpoints: the origin, the charge knots and both supports."""
+        return sorted(set([0.0, *self.charge_knots, self.inner_support, self.outer_support]))
+
+    def _area_integral(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
+        return float(radial_area_integral(f, self._cuts(), rtol=1e-11)[0])
+
+    @functools.cached_property
+    def h_inf(self) -> float:
+        r_dense = np.unique(np.concatenate([
+            [0.0], np.geomspace(max(self.inner_support * 1e-3, 1e-300), self.outer_support, 1024),
+            self._cuts()]))
+        return float(np.max(np.abs(self.h_evaluate(r_dense))))
+
+    @functools.cached_property
+    def h_l1(self) -> float:
+        return self._area_integral(lambda r: np.abs(self.h_evaluate(r)))
+
+    @functools.cached_property
+    def h_l2(self) -> float:
+        return math.sqrt(max(self._area_integral(lambda r: self.h_evaluate(r) ** 2), 0.0))
+
+    @functools.cached_property
+    def grad_h_l2(self) -> float:
+        return math.sqrt(max(self._area_integral(lambda r: self.grad_evaluate(r) ** 2), 0.0))
+
+    @property
+    def norms(self) -> SmearedNorms:
+        return SmearedNorms(self.h_inf, self.h_l1, self.h_l2, self.grad_h_l2)
 
 
 def make_smeared(w_beta: ScaledPotential, beta1: float) -> tuple[ScaledPotential, SmearedComparison]:
@@ -356,25 +385,9 @@ def make_smeared(w_beta: ScaledPotential, beta1: float) -> tuple[ScaledPotential
         norm_inf=u_val)
 
     scaled_knots = np.asarray(moments.knots) / w_scale
-    cuts = sorted(set([0.0, *(float(k) for k in scaled_knots), r_w, r_u]))
-    l1, e1 = radial_area_integral(lambda r: np.abs(h_evaluate(r)), cuts, rtol=1e-11)
-    l2sq, e2 = radial_area_integral(lambda r: h_evaluate(r) ** 2, cuts, rtol=1e-11)
-    g2sq, eg = radial_area_integral(lambda r: grad_evaluate(r) ** 2, cuts, rtol=1e-11)
-    r_dense = np.unique(np.concatenate([
-        [0.0], np.geomspace(max(r_w * 1e-3, 1e-300), r_u, 1024), cuts]))
-    h_dense = h_evaluate(r_dense)
-    norms = SmearedNorms(
-        h_inf=float(np.max(np.abs(h_dense))),
-        h_l1=float(l1),
-        h_l2=math.sqrt(max(float(l2sq), 0.0)),
-        grad_h_l2=math.sqrt(max(float(g2sq), 0.0)))
-    norm_errors = SmearedNorms(h_inf=0.0, h_l1=float(e1),
-                               h_l2=float(e2), grad_h_l2=float(eg))
-
     comparison = SmearedComparison(
         N=N, beta=beta, beta1=beta1, inner_support=r_w, outer_support=r_u,
-        norms=norms, norm_errors=norm_errors, charge_residual=charge_residual,
-        charge_knots=tuple(float(k) for k in scaled_knots),
+        charge_residual=charge_residual, charge_knots=tuple(float(k) for k in scaled_knots),
         h_evaluate=h_evaluate, grad_evaluate=grad_evaluate, rho_evaluate=rho_evaluate)
     return u_pot, comparison
 
@@ -445,12 +458,12 @@ def smeared_norm_report(base: RadialPotential, N_values: Sequence[int], beta: fl
     for N in N_values:
         w = make_scaled("W_beta", base, N=N, beta=beta)
         _, comp = make_smeared(w, beta1)
-        rows["h_inf"].append(comp.norms.h_inf)
-        rows["h_l1"].append(comp.norms.h_l1)
-        rows["h_l2"].append(comp.norms.h_l2)
-        rows["grad_h_l2"].append(comp.norms.grad_h_l2)
+        rows["h_inf"].append(comp.h_inf)
+        rows["h_l1"].append(comp.h_l1)
+        rows["h_l2"].append(comp.h_l2)
+        rows["grad_h_l2"].append(comp.grad_h_l2)
         _, comp0 = make_smeared(w, 0.0)
-        rows["h0_l2"].append(comp0.norms.h_l2)
+        rows["h0_l2"].append(comp0.h_l2)
         r = np.geomspace(comp.outer_support * 1e-6, comp.outer_support, 2048)
         ratio = np.abs(comp.grad_evaluate(r)) * N * np.sqrt(
             r * r + float(N) ** (-2.0 * beta))

@@ -6,6 +6,7 @@ radial weighting (the 2*pi*r factor) is applied by the caller.
 """
 from __future__ import annotations
 
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +37,9 @@ def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     """Simpson value with an error estimate from successive grid halving.
 
     Returns (value, estimated_error). The estimate is the difference between
-    the two finest levels; iteration stops once it drops below tolerance.
+    the two finest levels; iteration stops once it drops below tolerance. A
+    run that reaches _MAX_DOUBLINGS without meeting it returns the same pair
+    and emits a RuntimeWarning naming the interval, the estimate and rtol.
     """
     n = _N0
     prev = composite_simpson(f, a, b, n)
@@ -48,6 +51,11 @@ def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
         prev = cur
         if err <= rtol * max(abs(cur), _ATOL) + _ATOL:
             break
+    else:
+        warnings.warn(
+            f"Simpson halving on [{a!r}, {b!r}] stopped after {_MAX_DOUBLINGS} doublings "
+            f"with error estimate {err:.3e} against rtol {rtol:.1e} (value {prev:.6e})",
+            RuntimeWarning, stacklevel=2)
     return prev, err
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from bosons2d import cli
 from bosons2d.cli import (
@@ -71,7 +72,7 @@ def test_validation_errors_name_the_parameter_path():
         load_config("gp", {"grid_points": 48})
     with pytest.raises(ValueError, match="n_values"):
         load_config("compare", {"n_values": [2, 3]})
-    with pytest.raises(ValueError, match="n_values"):
+    with pytest.raises(ValueError, match="n_values: 5 particles on 6x6 sites span dimension 60466176"):
         load_config("fewbody", {"n_values": [5]})
     with pytest.raises(ValueError, match="dt"):
         load_config("gp", {"dt": 1.0, "t_final": 0.1})
@@ -165,6 +166,23 @@ def test_rerun_is_byte_identical(tmp_path, scenario, small):
     assert first.artifacts == second.artifacts
 
 
+RUN_IDENTITY = json.loads((Path(__file__).parent / "run_identity.json").read_text())
+
+
+def test_default_runs_match_the_recorded_identity(tmp_path):
+    """Each default scenario reproduces its recorded config hash and artifact sha256s."""
+    versions = (np.__version__, scipy.__version__)
+    if versions != (RUN_IDENTITY["numpy"], RUN_IDENTITY["scipy"]):
+        pytest.skip(f"identity table recorded with numpy {RUN_IDENTITY['numpy']} and scipy "
+                    f"{RUN_IDENTITY['scipy']}, running {versions[0]} and {versions[1]}")
+    assert set(RUN_IDENTITY["runs"]) == set(cli.SCENARIOS)
+    for scenario, recorded in RUN_IDENTITY["runs"].items():
+        manifest = run(load_config(scenario, {"out_dir": str(tmp_path)}))
+        assert manifest.passed, scenario
+        assert manifest.config_hash == recorded["config_hash"], scenario
+        assert manifest.artifacts == recorded["artifacts"], scenario
+
+
 def test_seed_feeds_the_initial_data(tmp_path):
     runs = [run(load_config("gp", {"grid_points": 16, "t_final": 5e-3, "seed": s,
                                    "out_dir": str(tmp_path / str(i))}))
@@ -232,6 +250,18 @@ def test_compare_annulus_scaling_activates_the_correction(tmp_path):
     _, data = read_csv(out / "compare.csv")
     assert np.all(np.isfinite(data))
     assert np.max(np.abs(data[:, 2] - data[:, 1])) > 0
+
+
+def test_compare_runs_five_particles(tmp_path):
+    # 9^5 = 59049 amplitudes: the particle count is capped by the dimension budget only.
+    config = load_config("compare", {"n_values": [5], "lattice_points": 3, "t_final": 0.01,
+                                     "dt": 2e-3, "out_dir": str(tmp_path)})
+    with pytest.warns(RuntimeWarning, match="below the lattice spacing"):
+        manifest = run(config)
+    assert manifest.passed
+    _, data = read_csv(tmp_path / f"compare-{manifest.config_hash[:12]}" / "compare.csv")
+    assert data.shape == (6, 6)
+    assert np.all(np.isfinite(data))
 
 
 def test_fewbody_single_particle_runs_free(tmp_path):

@@ -59,8 +59,9 @@ def test_lattice_and_state_validation():
     lat = Lattice2D(4, 1.0)
     with pytest.raises(ValueError):
         FewBodyState(lat, np.zeros((4, 4), dtype=complex))
-    with pytest.raises(ValueError):
-        FewBodyState(lat, np.zeros((16,) * 5, dtype=complex))
+    with pytest.raises(ValueError, match="exceeds budget"):
+        # a zero-copy view: the budget check runs before any data is touched
+        FewBodyState(lat, np.broadcast_to(np.zeros(1, dtype=complex), (16,) * 6))
     with pytest.raises(ValueError):
         FewBodyState(lat, np.zeros((16,), dtype=complex)).normalized()
 

@@ -12,7 +12,7 @@ from bosons2d.potentials import (
     smeared_norm_report,
     v_class_report,
 )
-from bosons2d.quadrature import piecewise_simpson, radial_area_integral
+from bosons2d.quadrature import piecewise_simpson, radial_area_integral, simpson_with_halving
 from bosons2d.scattering import potential_from_table, solve_zero_energy, square_well
 
 BASE = square_well(4.0, 0.5)
@@ -190,7 +190,10 @@ def _log_kernel_oracle(discs, r0: float) -> float:
 
     Polar coordinates centered at the evaluation point x0: the angular
     integral of each disc indicator is an exact arc measure, leaving a 1D
-    radial quadrature. Shares no code with the cumulative-moment route.
+    radial integral. Below c = min |r0 - R| every arc measure is 0 or 2 pi,
+    so that piece is the closed form sum height (c^2/2 ln c - c^2/4) over the
+    discs containing x0; the rest is a quadrature. Shares no code with the
+    cumulative-moment route.
     """
     def arc_measure(s: np.ndarray, c: float) -> np.ndarray:
         if r0 == 0.0:
@@ -204,12 +207,15 @@ def _log_kernel_oracle(discs, r0: float) -> float:
             total += height * arc_measure(s, radius)
         return np.log(s) * s * total / (2.0 * math.pi)
 
-    cuts = {1e-14}
+    near = min(abs(r0 - radius) for _, radius in discs)
+    inner = sum(height * (near * near / 2.0 * math.log(near) - near * near / 4.0)
+                for height, radius in discs if r0 < radius)
+    cuts = {near}
     for _, radius in discs:
         cuts.add(abs(r0 - radius))
         cuts.add(r0 + radius)
-    value, _ = piecewise_simpson(integrand, sorted(c for c in cuts if c > 0.0), rtol=1e-9)
-    return value
+    value, _ = piecewise_simpson(integrand, sorted(cuts), rtol=1e-9)
+    return inner + value
 
 
 def test_h_matches_2d_log_kernel_quadrature():
@@ -220,6 +226,14 @@ def test_h_matches_2d_log_kernel_quadrature():
         oracle = _log_kernel_oracle(discs, float(r0))
         ours = COMP_16.h_evaluate(np.array([r0]))[0]
         assert abs(oracle - ours) <= 1e-6 * COMP_16.norms.h_inf
+
+
+def test_simpson_cap_warns_with_context():
+    """sqrt(r) converges like h^1.5, so rtol 1e-15 is out of reach of the cap."""
+    with pytest.warns(RuntimeWarning, match=r"\[0\.0, 1\.0\].*rtol 1\.0e-15"):
+        value, err = simpson_with_halving(np.sqrt, 0.0, 1.0, rtol=1e-15)
+    assert value == pytest.approx(2.0 / 3.0, abs=1e-8)
+    assert 1e-15 * value < err < 1e-8
 
 
 def test_smeared_norm_scalings():

@@ -1,5 +1,6 @@
-"""Property tests of the shared periodic lattice, the count algebra and the
-radial scattering solve against independent closed-form and dense oracles."""
+"""Property tests of the shared periodic lattice, the one Strang stepper, the
+count algebra, the radial scattering solve and config canonicalization,
+against independent closed-form and dense oracles."""
 import functools
 import itertools
 import math
@@ -7,16 +8,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 from scipy.special import i0, i1
 
+from bosons2d.cli import SCENARIOS, canonical_dict, config_hash, load_config
 from bosons2d.diagnostics import (
     CondensateProjector,
     WeightFunction,
     apply_weight,
     count_components,
     mean_field_energy,
+    mean_field_step,
 )
 from bosons2d.fewbody import Lattice2D
+from bosons2d.gp import ExternalField, GpParams, GpState, Grid2D, step
 from bosons2d.scattering import scaled_scattering_identity, solve_zero_energy, square_well
 
 
@@ -64,6 +69,79 @@ def test_mean_field_energy_matches_dense_oracle(m, box_length, coupling, seed):
         symbol[0, 0] = 1.0
 
 
+def random_field(rng: np.random.Generator, lattice: Lattice2D) -> np.ndarray:
+    m = lattice.m
+    phi = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return phi / math.sqrt(float(np.sum(np.abs(phi) ** 2)) * lattice.spacing ** 2)
+
+
+def both_steppers(phi: np.ndarray, m: int, box_length: float, coupling: float,
+                  table: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One step of gp.step under a static field and one of mean_field_step."""
+    static = ExternalField.from_function(lambda x, y, t: table)
+    grid_step = step(GpState(Grid2D(m, box_length), phi), static,
+                     GpParams(coupling, dt=abs(dt)), dt=dt).amplitudes
+    return grid_step, mean_field_step(phi, Lattice2D(m, box_length), coupling, table, dt=dt)
+
+
+stepper_cases = dict(
+    m=st.sampled_from([2, 4, 8]),
+    box_length=st.floats(0.5, 8.0),
+    dt=st.floats(1e-4, 5e-2).flatmap(lambda v: st.sampled_from([v, -v])),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**stepper_cases)
+def test_linear_step_matches_dense_exponential(m, box_length, dt, seed):
+    """With b = 0 one step is diag(e^(-i dt A/2)) expm(-i dt K) diag(e^(-i dt A/2))."""
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    phi = random_field(rng, lattice)
+    table = rng.uniform(-5.0, 5.0, size=(m, m))
+    half = np.exp(-0.5j * dt * table.ravel())
+    oracle = half * (expm(-1j * dt * dense_minus_laplacian(m, box_length)) @ (half * phi.ravel()))
+    scale = np.max(np.abs(phi))
+    for stepped in both_steppers(phi, m, box_length, 0.0, table, dt):
+        assert np.max(np.abs(stepped.ravel() - oracle)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(coupling=st.floats(0.1, 50.0), **stepper_cases)
+def test_nonlinear_step_is_reversible_unitary_and_shared(m, box_length, dt, seed, coupling):
+    """step(-dt) o step(dt) is the identity, the norm is kept, and gp.step and
+    mean_field_step give the same bits for the same static table."""
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    phi = random_field(rng, lattice)
+    table = rng.uniform(-5.0, 5.0, size=(m, m))
+    grid_step, lattice_step = both_steppers(phi, m, box_length, coupling, table, dt)
+    assert np.array_equal(grid_step, lattice_step)
+    back = mean_field_step(lattice_step, lattice, coupling, table, dt=-dt)
+    scale = np.max(np.abs(phi))
+    assert np.max(np.abs(back - phi)) <= 1e-12 * scale
+    cell = lattice.spacing ** 2
+    assert float(np.sum(np.abs(lattice_step) ** 2)) * cell == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS),
+       seed=st.integers(0, 10 ** 6),
+       coupling=st.floats(0.0, 100.0),
+       xi=st.floats(0.01, 0.49),
+       box_length=st.floats(0.25, 8.0),
+       threads=st.integers(1, 4),
+       height=st.floats(0.5, 10.0))
+def test_canonical_config_round_trips(scenario, seed, coupling, xi, box_length, threads,
+                                      height):
+    config = load_config(scenario, {"seed": seed, "coupling": coupling, "xi": xi,
+                                    "box_length": box_length, "threads": threads,
+                                    "potential": {"height": height}})
+    again = load_config(scenario, canonical_dict(config))
+    assert again == config
+    assert config_hash(again) == config_hash(config)
+
+
 def kronecker_count_projections(p: np.ndarray, q: np.ndarray, n: int) -> list[np.ndarray]:
     """Dense P_0..P_n on n particles.
 
@@ -77,15 +155,15 @@ def kronecker_count_projections(p: np.ndarray, q: np.ndarray, n: int) -> list[np
 
 
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(2, 3), m=st.integers(2, 3),
+@given(n_and_m=st.sampled_from([(n, m) for m in (2, 3) for n in range(2, 6)
+                                if (m * m) ** n <= 1024]),
        box_length=st.floats(0.25, 8.0),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_count_algebra_matches_kronecker_oracle(n, m, box_length, seed):
+def test_count_algebra_matches_kronecker_oracle(n_and_m, box_length, seed):
+    n, m = n_and_m
     rng = np.random.default_rng(seed)
     lattice = Lattice2D(m, box_length)
-    phi = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2)) * lattice.spacing ** 2)
-    projector = CondensateProjector(lattice, phi)
+    projector = CondensateProjector(lattice, random_field(rng, lattice))
     d = lattice.d
     projections = kronecker_count_projections(projector.p_matrix, projector.q_matrix, n)
     amplitudes = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
