@@ -572,7 +572,8 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
                   - mean_field_energy(phi_now, lattice, coupling, field_table))
         less = m_expect + gap
         if micro is not None:
-            full = alpha_full(s, projector, interaction, micro, field, config.xi).value
+            full = alpha_full(s, projector, interaction, micro, field, config.xi,
+                              hamiltonian).value
         else:
             full = less
         numbers = number_expectations(s, projector)

@@ -30,6 +30,7 @@ import scipy.fft
 
 from .fewbody import (
     DIMENSION_BUDGET,
+    DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
     _pair_site_table,
@@ -367,10 +368,20 @@ def mean_field_step(phi: np.ndarray, lattice: Lattice2D, coupling: float,
 def energy_gap(state: FewBodyState, projector: CondensateProjector,
                interaction: Callable[[np.ndarray], np.ndarray] | None = None,
                coupling: float = 0.0,
-               field: ExternalField | None = None) -> float:
-    """|many-body energy per particle - mean-field energy of the reference|."""
-    hamiltonian = build_hamiltonian(state.lattice, state.n_particles,
-                                    interaction, field, t=state.time)
+               field: ExternalField | None = None,
+               hamiltonian: DiscreteHamiltonian | None = None) -> float:
+    """|many-body energy per particle - mean-field energy of the reference|.
+
+    The many-body energy is taken under hamiltonian when one is given (it
+    must live on the state's lattice and particle count), else under one
+    built from interaction and field at the state's time.
+    """
+    if hamiltonian is None:
+        hamiltonian = build_hamiltonian(state.lattice, state.n_particles,
+                                        interaction, field, t=state.time)
+    elif (hamiltonian.lattice != state.lattice
+          or hamiltonian.n_particles != state.n_particles):
+        raise ValueError("state and Hamiltonian live on different spaces")
     many = energy_per_particle(state, hamiltonian)
     a_now = None if field is None else field.evaluate(state.lattice, state.time)
     one = mean_field_energy(projector.phi, state.lattice, coupling, a_now)
@@ -430,19 +441,22 @@ class AlphaFullResult:
 def alpha_full(state: FewBodyState, projector: CondensateProjector,
                interaction: Callable[[np.ndarray], np.ndarray] | None,
                micro, field: ExternalField | None = None,
-               xi: float = 0.25) -> AlphaFullResult:
+               xi: float = 0.25,
+               hamiltonian: DiscreteHamiltonian | None = None) -> AlphaFullResult:
     """Counting functional for the exponentially scaled pair potential.
 
     micro supplies the depletion profile g = 1 - f of the softened pair
     construction; the effective mean-field coupling is fixed at 4*pi by
-    the scattering normalization of that scaling.
+    the scattering normalization of that scaling. hamiltonian, when given,
+    is passed on to `energy_gap` instead of building one per call.
     """
     n = state.n_particles
     if n < 2:
         raise ValueError("need at least two particles for the pair correction")
     weight = counting_weight(n, xi)
     m_expect = weight_expectation(state, projector, weight)
-    gap = energy_gap(state, projector, interaction, EFFECTIVE_COUPLING, field)
+    gap = energy_gap(state, projector, interaction, EFFECTIVE_COUPLING, field,
+                     hamiltonian)
     lattice = state.lattice
     resolvable = (not getattr(micro, "degenerate", False)
                   and micro.R_beta >= lattice.spacing)

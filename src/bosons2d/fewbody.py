@@ -7,7 +7,10 @@ waves are exact eigenstates), a pairwise interaction sampled at periodic
 minimum-image displacements, and an external per-site field. Propagation is
 a Krylov approximation of the matrix exponential with full
 reorthogonalization, falling back to adaptive sub-stepping; small problems
-may instead use a cached dense eigendecomposition.
+(dimension <= 4096) may instead use a cached real eigendecomposition of the
+dense real symmetric matrix. That matrix is assembled from Kronecker sums of
+the kinetic circulant plus the diagonal potential, not from the matrix-free
+action, so it also checks that action independently.
 """
 from __future__ import annotations
 
@@ -101,7 +104,7 @@ class DiscreteHamiltonian:
 
     kinetic_symbol is the per-particle spectral Laplacian multiplier |k|^2,
     interaction_table samples U at minimum-image coordinate displacements,
-    and external_field is A at the build time, all on (m, m) arrays. The
+    and external_field is A at the build time, all real (m, m) arrays. The
     full diagonal potential and the summed kinetic multiplier are
     precomputed dense tensors of the state's shape.
     """
@@ -120,6 +123,9 @@ class DiscreteHamiltonian:
         dim = self.lattice.d ** n
         if dim > DIMENSION_BUDGET:
             raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")
+        for name in ("interaction_table", "external_field"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"{name} must be real, got a complex table")
         if np.any(self.interaction_table < 0):
             raise ValueError("interaction samples must be nonnegative")
         shape = (m,) * (2 * n)
@@ -211,25 +217,43 @@ def dense_operator(apply_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def dense_matrix(hamiltonian: DiscreteHamiltonian) -> np.ndarray:
-    """Dense matrix of the operator; only for dimensions <= 4096."""
-    dim = hamiltonian.lattice.d ** hamiltonian.n_particles
+    """Dense real symmetric float64 matrix of the operator, cached on it;
+    only for dimensions <= 4096.
+
+    The one-particle kinetic matrix is the circulant of the inverse FFT of
+    the |k|^2 symbol, which is real and even; the N-particle kinetic matrix
+    is its Kronecker sum over the particles, and the summed field and pair
+    potential lies on the diagonal. The action `apply` is not used.
+    """
+    lattice, n = hamiltonian.lattice, hamiltonian.n_particles
+    dim = lattice.d ** n
     if dim > _DENSE_LIMIT:
         raise ValueError(f"dense form limited to dimension {_DENSE_LIMIT}, got {dim}")
     cache = hamiltonian._cache
     if "dense" not in cache:
-        cache["dense"] = dense_operator(hamiltonian.apply, hamiltonian.lattice,
-                                        hamiltonian.n_particles)
+        one = _pair_site_table(lattice.m, scipy.fft.ifft2(hamiltonian.kinetic_symbol).real)
+        total = one
+        for p in range(1, n):
+            total = np.kron(total, np.eye(lattice.d))
+            total += np.kron(np.eye(lattice.d ** p), one)
+        total[np.diag_indices(dim)] += hamiltonian._potential_total.ravel()
+        cache["dense"] = total
     return cache["dense"]
 
 
 def _dense_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
                 dt: float) -> np.ndarray:
+    """exp(-i dt H) by the cached real eigendecomposition; the complex state
+    is read as (dim, 2) real and imaginary columns, so both basis changes
+    are real matrix products."""
     cache = hamiltonian._cache
     if "eig" not in cache:
         cache["eig"] = np.linalg.eigh(dense_matrix(hamiltonian))
     w, v = cache["eig"]
-    flat = amplitudes.ravel()
-    return (v @ (np.exp(-1j * dt * w) * (v.conj().T @ flat))).reshape(amplitudes.shape)
+    parts = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1, 1)
+    coeffs = (v.T @ parts.view(np.float64)).view(np.complex128)
+    coeffs *= np.exp(-1j * dt * w)[:, None]
+    return (v @ coeffs.view(np.float64)).view(np.complex128).reshape(amplitudes.shape)
 
 
 def _lanczos_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray, dt: float,

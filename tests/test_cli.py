@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from bosons2d import cli
+from bosons2d import cli, diagnostics, fewbody
 from bosons2d.cli import (
     AssertionLog,
     ExperimentConfig,
@@ -250,6 +250,27 @@ def test_compare_annulus_scaling_activates_the_correction(tmp_path):
     _, data = read_csv(out / "compare.csv")
     assert np.all(np.isfinite(data))
     assert np.max(np.abs(data[:, 2] - data[:, 1])) > 0
+
+
+def test_compare_builds_its_hamiltonian_once(tmp_path, monkeypatch):
+    """alpha_full reuses the run's Hamiltonian instead of building one per sample."""
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return fewbody.build_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_hamiltonian", counting_build)
+    monkeypatch.setattr(diagnostics, "build_hamiltonian", counting_build)
+    config = load_config("compare", {"lattice_points": 4, "t_final": 0.01, "dt": 2e-3,
+                                     "potential": {"scaling": "V_N"},
+                                     "out_dir": str(tmp_path)})
+    with pytest.warns(RuntimeWarning) as record:
+        manifest = run(config)
+    assert manifest.passed
+    assert len(builds) == 1
+    spacing = [w for w in record if "below the lattice spacing" in str(w.message)]
+    assert len(spacing) == 1
 
 
 def test_compare_runs_five_particles(tmp_path):

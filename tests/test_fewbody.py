@@ -96,6 +96,16 @@ def test_interaction_table_nonnegative():
         DiscreteHamiltonian(lat, 1, kin, -np.ones((4, 4)), np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("field_name", ["interaction_table", "external_field"])
+def test_complex_tables_are_rejected_by_name(field_name):
+    """A real dense matrix would drop an imaginary part silently."""
+    lat = Lattice2D(4, 1.0)
+    tables = {"interaction_table": np.zeros((4, 4)), "external_field": np.zeros((4, 4))}
+    tables[field_name] = tables[field_name] + 0.5j
+    with pytest.raises(ValueError, match=field_name):
+        DiscreteHamiltonian(lat, 1, lat.kinetic_symbol(), **tables)
+
+
 def test_single_particle_spectrum_matches_dense():
     """Matrix-free operator vs an explicit DFT-matrix assembly."""
     lat = Lattice2D(8, 2.0)

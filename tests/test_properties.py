@@ -1,6 +1,7 @@
 """Property tests of the shared periodic lattice, the one Strang stepper, the
-count algebra, the radial scattering solve and config canonicalization,
-against independent closed-form and dense oracles."""
+few-body Hamiltonian's action, the count algebra, the radial scattering solve
+and config canonicalization, against independent closed-form and dense
+oracles."""
 import functools
 import itertools
 import math
@@ -20,7 +21,7 @@ from bosons2d.diagnostics import (
     mean_field_energy,
     mean_field_step,
 )
-from bosons2d.fewbody import Lattice2D
+from bosons2d.fewbody import DiscreteHamiltonian, Lattice2D, dense_matrix
 from bosons2d.gp import ExternalField, GpParams, GpState, Grid2D, step
 from bosons2d.scattering import scaled_scattering_identity, solve_zero_energy, square_well
 
@@ -140,6 +141,33 @@ def test_canonical_config_round_trips(scenario, seed, coupling, xi, box_length, 
     again = load_config(scenario, canonical_dict(config))
     assert again == config
     assert config_hash(again) == config_hash(config)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_and_m=st.sampled_from([(n, m) for m in range(2, 7) for n in range(1, 4)
+                                if (m * m) ** n <= 4096]),
+       box_length=st.floats(0.25, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hamiltonian_action_matches_its_dense_matrix(n_and_m, box_length, seed):
+    """apply(v) against dense_matrix(H) @ v: the dense matrix is assembled
+    from Kronecker sums of the kinetic circulant without calling apply."""
+    n, m = n_and_m
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    hamiltonian = DiscreteHamiltonian(lattice, n, lattice.kinetic_symbol(),
+                                      rng.uniform(0.0, 10.0, size=(m, m)),
+                                      rng.uniform(-5.0, 5.0, size=(m, m)))
+    dense = dense_matrix(hamiltonian)
+    assert dense.dtype == np.float64
+    assert np.array_equal(dense, dense.T)
+
+    shape = (lattice.d,) * n
+    amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = amplitudes.ravel()
+    oracle = dense @ flat.real + 1j * (dense @ flat.imag)
+    # The largest absolute row sum bounds the spectral norm of H.
+    scale = np.max(np.sum(np.abs(dense), axis=1)) * np.linalg.norm(flat)
+    assert np.linalg.norm(hamiltonian.apply(amplitudes).ravel() - oracle) <= 1e-12 * scale
 
 
 def kronecker_count_projections(p: np.ndarray, q: np.ndarray, n: int) -> list[np.ndarray]:
