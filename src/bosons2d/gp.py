@@ -12,6 +12,15 @@ complex time z: z = i dt is the real-time step of `step` and of the lattice
 mean-field surrogate `diagnostics.mean_field_step`, and a real z = tau is the
 normalized gradient-flow step of `ground_state`.
 
+Nothing a step cannot change is rebuilt per step. The kinetic factor
+exp(-z |k|^2) comes from `Lattice2D.kinetic_factor(z)`, cached per (lattice,
+z) and read-only. The field table A_t is read through a one-entry memo on the
+`ExternalField`, keyed on the grid and the exact float time, so a step's end
+table is the next step's start table and an energy at the current time costs
+no evaluation; the memoized table is read-only, and the field must be a pure
+function of (x, y, t). Both caches return the very arrays the uncached code
+would build, so every result keeps its bits.
+
 The kinetic symbol carries no 1/2: the Laplacian enters the equation bare,
 which fixes the free dispersion at |k|^2 and the Gaussian spreading law used
 by the tests.
@@ -84,6 +93,13 @@ class Lattice2D:
         k2.flags.writeable = False
         return k2
 
+    @functools.lru_cache(maxsize=8, typed=True)
+    def kinetic_factor(self, z: complex) -> np.ndarray:
+        """Read-only kinetic propagator exp(-z |k|^2), built once per (lattice, z)."""
+        factor = np.exp(-z * self.kinetic_symbol())
+        factor.flags.writeable = False
+        return factor
+
     def minimum_image_distances(self) -> np.ndarray:
         """(m, m) table of |x| at coordinate displacement (di, dj)."""
         idx = np.arange(self.m)
@@ -137,11 +153,16 @@ class ExternalField:
     Built either from a closed form (x, y, t) -> values or from tabulated
     time snapshots with cubic interpolation. The time derivative uses the
     analytic form when given, the spline derivative for snapshots, and a
-    centered difference otherwise.
+    centered difference otherwise. The stepper reads tables through a
+    one-entry memo held on the instance, so a closed form must be a pure
+    function of (x, y, t).
     """
     func: Callable[[np.ndarray, np.ndarray, float], np.ndarray | float] | None = None
     func_dot: Callable[[np.ndarray, np.ndarray, float], np.ndarray | float] | None = None
     _spline: CubicSpline | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_memo", [None])
 
     @classmethod
     def from_function(cls, func: Callable[[np.ndarray, np.ndarray, float], np.ndarray | float],
@@ -208,9 +229,24 @@ def _strang(psi: np.ndarray, lattice: Lattice2D, coupling: float, a_now: np.ndar
     exp(-z |k|^2), half phase under a_next and the updated density."""
     psi = psi * np.exp(-0.5 * z * (a_now + coupling * np.abs(psi) ** 2))
     psi_hat = scipy.fft.fft2(psi, workers=workers)
-    psi_hat *= np.exp(-z * lattice.kinetic_symbol())
+    psi_hat *= lattice.kinetic_factor(z)
     psi = scipy.fft.ifft2(psi_hat, workers=workers)
     return psi * np.exp(-0.5 * z * (a_next + coupling * np.abs(psi) ** 2))
+
+
+def _field_table(field: ExternalField, grid: Grid2D, t: float) -> np.ndarray:
+    """Read-only A_t on grid, evaluated only when (grid, t) differs from the
+    last table read from this field; t is compared by its bits, so -0.0 and
+    0.0 are different times."""
+    key = (grid, float(t).hex())
+    memo = field._memo
+    last = memo[0]
+    if last is not None and last[0] == key:
+        return last[1]
+    table = field.evaluate(grid, t)
+    table.flags.writeable = False
+    memo[0] = (key, table)
+    return table
 
 
 def step(state: GpState, field: ExternalField, params: GpParams,
@@ -218,8 +254,8 @@ def step(state: GpState, field: ExternalField, params: GpParams,
     """One Strang step; dt overrides params.dt (negative reverses time)."""
     dt = params.dt if dt is None else float(dt)
     grid = state.grid
-    psi = _strang(state.amplitudes, grid, params.coupling, field.evaluate(grid, state.time),
-                  field.evaluate(grid, state.time + dt), 1j * dt, params.workers)
+    psi = _strang(state.amplitudes, grid, params.coupling, _field_table(field, grid, state.time),
+                  _field_table(field, grid, state.time + dt), 1j * dt, params.workers)
     return GpState(grid, psi, state.time + dt)
 
 
@@ -255,7 +291,7 @@ def propagate(state: GpState, field: ExternalField, params: GpParams, n_steps: i
 def gp_energy(state: GpState, field: ExternalField, params: GpParams) -> float:
     """Kinetic term by Parseval plus potential and interaction quadratures."""
     return _mean_field_energy(state.amplitudes, state.grid, params.coupling,
-                              field.evaluate(state.grid, state.time), params.workers)
+                              _field_table(field, state.grid, state.time), params.workers)
 
 
 def _mean_field_energy(psi: np.ndarray, lattice: Lattice2D, coupling: float,
@@ -297,7 +333,7 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
     with the descent record.
     """
     grid = seed.grid
-    a_now = field.evaluate(grid, at_time)
+    a_now = _field_table(field, grid, at_time)
     psi = seed.normalized().amplitudes
     tau = params.dt
     energy = _mean_field_energy(psi, grid, params.coupling, a_now, params.workers)

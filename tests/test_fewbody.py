@@ -227,6 +227,28 @@ def test_krylov_failure_report():
         propagate(state, ham, 1e6, method="krylov", max_krylov_dim=3)
 
 
+@pytest.mark.parametrize("m, wavenumber", [(4, 0), (6, 1)])
+def test_lanczos_breakdown_under_a_large_constant_field(monkeypatch, m, wavenumber):
+    """The uniform state and a plane wave are exact eigenvectors under
+    A = 1e6. On 6 x 6 the residual after one apply is roundoff of the shift,
+    about 1e-10, so only a breakdown test relative to |H v| stops there."""
+    lat = Lattice2D(m, 1.0)
+    ham = build_hamiltonian(
+        lat, 1, field=ExternalField.from_function(lambda x, y, t: np.full_like(x, 1e6)))
+    xx, _ = lat.meshes()
+    k = 2.0 * math.pi / lat.box_length * wavenumber
+    state = FewBodyState(lat, np.exp(1j * k * xx).ravel()).normalized()
+    applies = []
+    apply = DiscreteHamiltonian.apply
+    monkeypatch.setattr(DiscreteHamiltonian, "apply",
+                        lambda self, v: applies.append(1) or apply(self, v))
+    dt = 1e-3
+    stepped = propagate(state, ham, dt, method="krylov")
+    assert len(applies) == 1
+    exact = np.exp(-1j * dt * (1e6 + k * k)) * state.amplitudes
+    assert np.max(np.abs(stepped.amplitudes - exact)) < 1e-12
+
+
 def test_propagate_space_mismatch():
     lat = Lattice2D(4, 1.0)
     other = Lattice2D(5, 1.0)

@@ -294,6 +294,26 @@ def test_energy_monitor_warns_on_large_dt():
         propagate(state, field, params, 5, monitor_energy=True, check_every=1)
 
 
+@pytest.mark.parametrize("monitor_energy", [False, True])
+def test_propagate_evaluates_the_field_once_per_step(monkeypatch, monitor_energy):
+    """A step's end table is the next step's start table, and an energy at
+    the current time reads the table already held: n steps cost n + 1
+    evaluations with or without the energy checks."""
+    calls = []
+    evaluate = ExternalField.evaluate
+    monkeypatch.setattr(ExternalField, "evaluate",
+                        lambda self, grid, t: calls.append(t) or evaluate(self, grid, t))
+    grid = Grid2D(16, 4.0)
+    kx = 2.0 * math.pi / grid.box_length
+    field = ExternalField.from_function(lambda x, y, t: np.cos(kx * x - 3.0 * t))
+    n = 12
+    # A driven field changes the energy on purpose, so no drift is flagged.
+    propagate(gaussian_state(grid, 0.4), field, GpParams(coupling=2.0, dt=1e-3), n,
+              monitor_energy=monitor_energy, drift_tolerance=math.inf, check_every=3)
+    assert len(calls) == n + 1
+    assert len(set(calls)) == n + 1
+
+
 def test_trajectory_recorder_stream():
     grid = Grid2D(32, 4.0)
     state = gaussian_state(grid, 0.4)

@@ -1,13 +1,16 @@
-"""Property tests of the shared periodic lattice, the one Strang stepper, the
-few-body Hamiltonian's action, the count algebra, the radial scattering solve
-and config canonicalization, against independent closed-form and dense
-oracles."""
+"""Property tests of the shared periodic lattice, the one Strang stepper and
+its caches, the few-body Hamiltonian's action, the count algebra, the radial
+scattering solve, checkpoints and config canonicalization, against
+independent closed-form and dense oracles."""
 import functools
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import i0, i1
@@ -22,7 +25,16 @@ from bosons2d.diagnostics import (
     mean_field_step,
 )
 from bosons2d.fewbody import DiscreteHamiltonian, Lattice2D, dense_matrix
-from bosons2d.gp import ExternalField, GpParams, GpState, Grid2D, step
+from bosons2d.gp import (
+    ExternalField,
+    GpParams,
+    GpState,
+    Grid2D,
+    _field_table,
+    read_checkpoint,
+    step,
+    write_checkpoint,
+)
 from bosons2d.scattering import scaled_scattering_identity, solve_zero_energy, square_well
 
 
@@ -123,6 +135,85 @@ def test_nonlinear_step_is_reversible_unitary_and_shared(m, box_length, dt, seed
     assert np.max(np.abs(back - phi)) <= 1e-12 * scale
     cell = lattice.spacing ** 2
     assert float(np.sum(np.abs(lattice_step) ** 2)) * cell == pytest.approx(1.0, abs=1e-12)
+
+
+def fresh_strang_step(psi: np.ndarray, grid: Grid2D, coupling: float, field: ExternalField,
+                      t: float, dt: float) -> np.ndarray:
+    """One Strang step that caches nothing: the field is evaluated at both
+    half steps and exp(-i dt |k|^2) is rebuilt from the wavenumbers."""
+    k = grid.wavenumbers()
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    z = 1j * dt
+    psi = psi * np.exp(-0.5 * z * (field.evaluate(grid, t) + coupling * np.abs(psi) ** 2))
+    psi_hat = scipy.fft.fft2(psi)
+    psi_hat *= np.exp(-z * k2)
+    psi = scipy.fft.ifft2(psi_hat)
+    return psi * np.exp(-0.5 * z * (field.evaluate(grid, t + dt)
+                                    + coupling * np.abs(psi) ** 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.sampled_from([2, 4, 8, 16, 32]), min_size=2, max_size=2),
+       box_lengths=st.lists(st.floats(0.5, 8.0), min_size=2, max_size=2),
+       coupling=st.floats(0.0, 50.0),
+       dt=st.floats(1e-4, 5e-2),
+       signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_step_matches_a_fresh_strang_step(sizes, box_lengths, coupling, dt, signs,
+                                                 seed):
+    """gp.step with its kinetic-factor cache and field-table memo gives the
+    bits of a step that rebuilds both, for one time-dependent field shared by
+    two grids stepped in alternation from the same time with mixed +dt and
+    -dt."""
+    rng = np.random.default_rng(seed)
+    a, b, omega = rng.uniform(-5.0, 5.0, size=3)
+    field = ExternalField.from_function(
+        lambda x, y, t: a * np.cos(x + omega * t) + b * np.sin(y - t) * np.cos(x))
+    params = GpParams(coupling, dt=dt)
+    start = rng.uniform(-1.0, 1.0)
+    states = [GpState(grid, random_field(rng, grid), start)
+              for grid in (Grid2D(n, box) for n, box in zip(sizes, box_lengths))]
+    for sign in signs:
+        for index, state in enumerate(states):
+            expected = fresh_strang_step(state.amplitudes, state.grid, coupling, field,
+                                         state.time, sign * dt)
+            states[index] = step(state, field, params, dt=sign * dt)
+            assert np.array_equal(states[index].amplitudes, expected)
+            assert states[index].time == state.time + sign * dt
+
+    grid, time = states[-1].grid, states[-1].time
+    table = _field_table(field, grid, time)
+    assert np.array_equal(table, field.evaluate(grid, time))
+    factor = grid.kinetic_factor(1j * dt)
+    for cached in (table, factor):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16, 32, 64]),
+       box_length=st.floats(1e-3, 1e3),
+       time=st.floats(-1e6, 1e6),
+       exponent=st.floats(-20.0, 20.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_checkpoint_round_trips(n, box_length, time, exponent, seed):
+    """complex128 checkpoints come back bitwise, complex64 ones as the
+    float32 rounding of the state, with the grid and time exact."""
+    rng = np.random.default_rng(seed)
+    amplitudes = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * 10.0 ** exponent
+    state = GpState(Grid2D(n, box_length), amplitudes, time)
+    with tempfile.TemporaryDirectory() as tmp:
+        for dtype, expected in (("complex128", amplitudes),
+                                ("complex64", amplitudes.astype(np.complex64))):
+            path = os.path.join(tmp, dtype + ".bin")
+            write_checkpoint(state, path, dtype=dtype)
+            loaded, sidecar = read_checkpoint(path)
+            assert loaded.amplitudes.dtype == np.complex128
+            assert np.array_equal(loaded.amplitudes, expected)
+            assert loaded.grid == state.grid
+            assert loaded.time == time
+            assert sidecar["dtype"] == dtype
 
 
 @settings(max_examples=40, deadline=None)
