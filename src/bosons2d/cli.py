@@ -26,7 +26,6 @@ from .diagnostics import (
     EFFECTIVE_COUPLING,
     CondensateProjector,
     alpha_full,
-    alpha_less,
     counting_weight,
     gamma1,
     mean_field_energy,
@@ -559,7 +558,7 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     field = _cosine_field(config.field_amplitude, config.box_length)
     hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0,
                                     workers=config.threads)
-    field_table = None if field is None else field.evaluate(lattice, 0.0)
+    field_table = None if field is None else hamiltonian.external_field
 
     phi = _lattice_condensate(lattice).astype(np.complex128)
     state = jastrow_initial_state(phi, None, lattice, n)

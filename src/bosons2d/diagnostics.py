@@ -33,6 +33,8 @@ from .fewbody import (
     DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
+    _DENSE_LIMIT,
+    _on_particles,
     _pair_site_table,
     build_hamiltonian,
     dense_operator,
@@ -255,9 +257,7 @@ def apply_pair_table(amplitudes: np.ndarray, lattice: Lattice2D,
         site = table
     else:
         raise ValueError("table must be (m, m) over displacements or (d, d) over site pairs")
-    a, b = particles
-    shaped = site.reshape((lattice.d, lattice.d) + (1,) * (amplitudes.ndim - 2))
-    return amplitudes * np.moveaxis(shaped, (0, 1), (a, b))
+    return amplitudes * _on_particles(site, particles, amplitudes.ndim)
 
 
 def spectral_gradient(amplitudes: np.ndarray, lattice: Lattice2D,
@@ -574,39 +574,30 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
             f"state must be exchange symmetric, defect {defect:.3e}")
     lattice = state.lattice
     cell_n = projector.cell ** n
-    a_static = None if field is None else field.evaluate(lattice, state.time)
     hamiltonian = build_hamiltonian(lattice, n, interaction, field,
                                     t=state.time)
-    method = "dense" if lattice.d ** n <= 4096 else "auto"
+    method = "dense" if lattice.d ** n <= _DENSE_LIMIT else "auto"
     weight = counting_weight(n, xi)
 
     def expectation(shifted: float) -> float:
         moved = propagate(state, hamiltonian, shifted, method=method)
-        phi_t = mean_field_step(projector.phi, lattice, coupling, a_static, dt=shifted)
+        phi_t = mean_field_step(projector.phi, lattice, coupling,
+                                hamiltonian.external_field, dt=shifted)
         return weight_expectation(moved, CondensateProjector(lattice, phi_t),
                                   weight)
 
     fd_rate = (expectation(dt) - expectation(-dt)) / (2.0 * dt)
 
-    if interaction is None:
-        pair_table = np.zeros((lattice.m, lattice.m))
-    else:
-        pair_table = np.asarray(
-            interaction(lattice.minimum_image_distances().ravel()),
-            dtype=float).reshape(lattice.m, lattice.m)
+    pair_site = _pair_site_table(lattice.m, hamiltonian.interaction_table)
     density_flat = np.abs(projector.phi.ravel()) ** 2
     strength = coupling / (n - 1)
 
     def apply_mean_part(amplitudes: np.ndarray) -> np.ndarray:
-        shape0 = [1] * n
-        shape0[0] = lattice.d
-        shape1 = [1] * n
-        shape1[1] = lattice.d
-        return amplitudes * (density_flat.reshape(shape0)
-                             + density_flat.reshape(shape1))
+        return amplitudes * (_on_particles(density_flat, (0,), n)
+                             + _on_particles(density_flat, (1,), n))
 
     def apply_gap_operator(amplitudes: np.ndarray) -> np.ndarray:
-        return (apply_pair_table(amplitudes, lattice, pair_table)
+        return (apply_pair_table(amplitudes, lattice, pair_site)
                 - strength * apply_mean_part(amplitudes))
 
     amps = state.amplitudes
@@ -625,7 +616,7 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     part_single = -2.0 * n * (n - 1) * float(np.imag(np.vdot(
         pq, apply_weight(apply_gap_operator(pp), projector, w_one_back)))) * cell_n
     part_bare = -n * (n - 1) * float(np.imag(np.vdot(
-        qq, apply_weight(apply_pair_table(pp, lattice, pair_table),
+        qq, apply_weight(apply_pair_table(pp, lattice, pair_site),
                          projector, w_two_back)))) * cell_n
     part_cross = -2.0 * n * (n - 1) * float(np.imag(np.vdot(
         qq, apply_weight(apply_gap_operator(pq), projector, w_one_back)))) * cell_n
@@ -845,10 +836,8 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
     site_disp = _pair_site_table(lattice.m, disp_values)
     density = np.abs(projector.phi.ravel()) ** 2
     convolved = cell * (site_disp.T @ density)
-    shape1 = [1] * n
-    shape1[1] = d
     lhs = p(apply_pair_table(p(probe, 0), lattice, site_disp), 0)
-    rhs = p(probe * convolved.reshape(shape1), 0)
+    rhs = p(probe * _on_particles(convolved, (1,), n), 0)
     record("convolution-identity", norm(lhs - rhs))
 
     # Exact lattice norm bounds for pair operators against the projector.
@@ -1029,11 +1018,10 @@ def cutoff_indicators(lattice: Lattice2D, n_particles: int, d_exponent: float,
     pair_disc_bound = phi_inf * math.sqrt(continuum_area)
 
     # Union over partners for particle 0, on the full configuration space.
+    close = pair_site.astype(bool)
     complement = np.ones((d,) * n, dtype=bool)
     for partner in range(1, n):
-        shaped = pair_site.astype(bool).reshape(
-            (d, d) + (1,) * (n - 2))
-        complement &= ~np.moveaxis(shaped, (0, 1), (0, partner))
+        complement &= ~_on_particles(close, (0, partner), n)
     union = ~complement
     union_mass = cell * np.tensordot(density, union.astype(float),
                                      axes=([0], [0]))
@@ -1060,8 +1048,7 @@ def cutoff_indicators(lattice: Lattice2D, n_particles: int, d_exponent: float,
         state_union = math.sqrt(float(np.sum(weights[union])) * cell ** n)
         triple = np.zeros((d,) * n, dtype=bool)
         for a, b in itertools.combinations(range(1, n), 2):
-            shaped = pair_site.astype(bool).reshape((d, d) + (1,) * (n - 2))
-            triple |= np.moveaxis(shaped, (0, 1), (a, b))
+            triple |= _on_particles(close, (a, b), n)
         state_triple = math.sqrt(float(np.sum(weights[triple])) * cell ** n)
 
     return CutoffReport(n, float(d_exponent), threshold, resolved,

@@ -11,6 +11,12 @@ reorthogonalization, falling back to adaptive sub-stepping; small problems
 dense real symmetric matrix. That matrix is assembled from Kronecker sums of
 the kinetic circulant plus the diagonal potential, not from the matrix-free
 action, so it also checks that action independently.
+
+Layout: particle j is axis j of the (d,)^N amplitude tensor, and site
+(i, k) of an (m, m) table is index i m + k along it. The spectral kinetic
+term reads the same bytes as the (m,)^{2N} FFT view, with particle j on
+axes 2j and 2j + 1. `_on_particles` is the one place that lines a site or
+site-pair table up with particle axes.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ DIMENSION_BUDGET = 1 << 22
 _DENSE_LIMIT = 4096
 _AUTO_DENSE_LIMIT = 1024
 _MAX_SUBSTEP_DEPTH = 8
+_KRYLOV_TOL = 1e-12
 
 
 def _pair_site_table(m: int, displacement_values: np.ndarray) -> np.ndarray:
@@ -53,6 +60,13 @@ def _pair_site_table(m: int, displacement_values: np.ndarray) -> np.ndarray:
     row = (idx[:, None, None, None] - idx[None, None, :, None]) % m
     col = (idx[None, :, None, None] - idx[None, None, None, :]) % m
     return displacement_values[row, col].reshape(m * m, m * m)
+
+
+def _on_particles(table: np.ndarray, particles: Sequence[int], n: int) -> np.ndarray:
+    """Broadcastable view of a (d,) site table or a (d, d) site-pair table
+    with its axes on the given particle axes of an n-particle (d,)^n tensor."""
+    shaped = table.reshape(table.shape + (1,) * (n - table.ndim))
+    return np.moveaxis(shaped, tuple(range(table.ndim)), tuple(particles))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +120,7 @@ class DiscreteHamiltonian:
     interaction_table samples U at minimum-image coordinate displacements,
     and external_field is A at the build time, all real (m, m) arrays. The
     full diagonal potential and the summed kinetic multiplier are
-    precomputed dense tensors of the state's shape.
+    precomputed dense tensors on the (m,)^{2N} FFT view.
     """
     lattice: Lattice2D
     n_particles: int
@@ -128,25 +142,19 @@ class DiscreteHamiltonian:
                 raise ValueError(f"{name} must be real, got a complex table")
         if np.any(self.interaction_table < 0):
             raise ValueError("interaction samples must be nonnegative")
-        shape = (m,) * (2 * n)
-        k2 = self.kinetic_symbol
-        kinetic_total = np.zeros(shape)
-        potential_total = np.zeros(shape)
+        kinetic_total = np.zeros((self.lattice.d,) * n)
+        potential_total = np.zeros((self.lattice.d,) * n)
         for p in range(n):
-            axes_shape = [1] * (2 * n)
-            axes_shape[2 * p] = m
-            axes_shape[2 * p + 1] = m
-            kinetic_total = kinetic_total + k2.reshape(axes_shape)
-            potential_total = potential_total + self.external_field.reshape(axes_shape)
+            kinetic_total = kinetic_total + _on_particles(self.kinetic_symbol.ravel(), (p,), n)
+            potential_total = potential_total + _on_particles(self.external_field.ravel(),
+                                                              (p,), n)
         pair_d = _pair_site_table(m, self.interaction_table)
         for a in range(n):
             for b in range(a + 1, n):
-                axes_shape = [1] * (2 * n)
-                for ax in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
-                    axes_shape[ax] = m
-                potential_total = potential_total + pair_d.reshape(axes_shape)
-        object.__setattr__(self, "_kinetic_total", kinetic_total)
-        object.__setattr__(self, "_potential_total", potential_total)
+                potential_total = potential_total + _on_particles(pair_d, (a, b), n)
+        fft_view = (m,) * (2 * n)
+        object.__setattr__(self, "_kinetic_total", kinetic_total.reshape(fft_view))
+        object.__setattr__(self, "_potential_total", potential_total.reshape(fft_view))
         object.__setattr__(self, "_cache", {})
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -316,8 +324,7 @@ def _lanczos_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray, dt: 
 
 
 def propagate(state: FewBodyState, hamiltonian: DiscreteHamiltonian, dt: float,
-              method: str = "auto", krylov_tol: float = 1e-12,
-              max_krylov_dim: int = 40) -> FewBodyState:
+              method: str = "auto", max_krylov_dim: int = 40) -> FewBodyState:
     """Advance by dt under the (time-frozen) Hamiltonian.
 
     method "auto" picks the cached dense eigendecomposition for dimensions
@@ -332,7 +339,7 @@ def propagate(state: FewBodyState, hamiltonian: DiscreteHamiltonian, dt: float,
         amp = _dense_step(hamiltonian, state.amplitudes, float(dt))
     elif method == "krylov":
         amp = _lanczos_step(hamiltonian, state.amplitudes, float(dt),
-                            krylov_tol, max_krylov_dim)
+                            _KRYLOV_TOL, max_krylov_dim)
     else:
         raise ValueError(f"unknown method {method!r}")
     return FewBodyState(state.lattice, amp, state.time + float(dt))
@@ -380,10 +387,7 @@ def jastrow_initial_state(phi: np.ndarray, pair, lattice: Lattice2D,
             pair_d = _pair_site_table(lattice.m, factor)
             for a in range(n_particles):
                 for b in range(a + 1, n_particles):
-                    shape = [1] * n_particles
-                    shape[a] = lattice.d
-                    shape[b] = lattice.d
-                    amp = amp * pair_d.reshape(shape)
+                    amp = amp * _on_particles(pair_d, (a, b), n_particles)
     state = FewBodyState(lattice, amp, 0.0)
     return state.normalized()
 

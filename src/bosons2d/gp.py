@@ -323,9 +323,8 @@ def spectral_tail_fraction(state: GpState) -> float:
 
 
 def ground_state(field: ExternalField, params: GpParams, seed: GpState,
-                 at_time: float = 0.0, energy_tol: float = 1e-10,
-                 max_steps: int = 100000) -> GpState:
-    """Imaginary-time descent to the energy minimizer at a fixed field time.
+                 energy_tol: float = 1e-10, max_steps: int = 100000) -> GpState:
+    """Imaginary-time descent to the energy minimizer with the field at t = 0.
 
     Normalized gradient-flow steps, `_strang` at real z = tau; a step
     that fails to decrease the energy is rejected and retried at half the
@@ -333,7 +332,7 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
     with the descent record.
     """
     grid = seed.grid
-    a_now = _field_table(field, grid, at_time)
+    a_now = _field_table(field, grid, 0.0)
     psi = seed.normalized().amplitudes
     tau = params.dt
     energy = _mean_field_energy(psi, grid, params.coupling, a_now, params.workers)
@@ -354,7 +353,7 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
             break
     else:
         raise RuntimeError(f"imaginary-time descent did not converge in {max_steps} steps")
-    return GpState(grid, psi, at_time)
+    return GpState(grid, psi, 0.0)
 
 
 def _csv_recorder(stream: TextIO, header: str,

@@ -28,6 +28,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import j0, j1, y0, y1
 
+from .fitting import FitResult, power_law_fit
 from .quadrature import piecewise_simpson, radial_area_integral
 
 __all__ = [
@@ -517,14 +518,12 @@ class GNormReport:
     l1_values: np.ndarray
     l2_values: np.ndarray
     linf_values: np.ndarray
-    l1_fit: "FitResult"
-    l2_fit: "FitResult"
+    l1_fit: FitResult
+    l2_fit: FitResult
 
 
 def g_norm_report(pairs: Sequence[MicroscopicPair]) -> GNormReport:
     """Least-squares exponents of the depletion norms after ln N division."""
-    from .fitting import FitResult, power_law_fit  # local import to avoid cycles
-
     if len(pairs) < 4:
         raise ValueError("need at least 4 pairs for a scaling fit")
     betas = {p.beta for p in pairs}

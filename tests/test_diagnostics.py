@@ -623,6 +623,31 @@ def test_rate_identity_with_external_field_static_freeze():
     assert comparison.residual < 1e-5
 
 
+def test_rate_identity_samples_each_lattice_table_once(monkeypatch):
+    """The pair table and the static field are read from the Hamiltonian
+    that sampled them, not sampled again."""
+    field_times = []
+    evaluate = ExternalField.evaluate
+    monkeypatch.setattr(ExternalField, "evaluate",
+                        lambda self, grid, t: field_times.append(t) or evaluate(self, grid, t))
+    lat = Lattice2D(3, 1.0)
+    phi = lattice_field(lat)
+    proj = CondensateProjector(lat, phi)
+    state = depleted_state(lat, phi, 0.15)
+    W = make_scaled("W_beta", square_well(4.0, 0.5), N=2, beta=0.5)
+    samplings = []
+
+    def interaction(r: np.ndarray) -> np.ndarray:
+        samplings.append(r.size)
+        return W(r)
+
+    field = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * x))
+    comparison = ddt_weight_identity(state, proj, interaction, 1.5, field=field, dt=1e-4)
+    assert field_times == [state.time]
+    assert samplings == [lat.d]
+    assert abs(comparison.commutator - comparison.projected) < 1e-12
+
+
 # ----------------------------------------------------------- algebra suite
 
 

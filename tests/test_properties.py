@@ -261,6 +261,35 @@ def test_hamiltonian_action_matches_its_dense_matrix(n_and_m, box_length, seed):
     assert np.linalg.norm(hamiltonian.apply(amplitudes).ravel() - oracle) <= 1e-12 * scale
 
 
+@settings(max_examples=30, deadline=None)
+@given(n_and_m=st.sampled_from([(n, m) for m in range(2, 7) for n in range(1, 5)
+                                if (m * m) ** n <= 4096]),
+       box_length=st.floats(0.25, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assembled_potential_matches_a_configuration_loop(n_and_m, box_length, seed):
+    """With a zero kinetic symbol, apply(psi) is V psi, where V at sites
+    (i_p, j_p) is sum_p A[i_p, j_p] + sum_{a<b} U[(i_a - i_b) % m, (j_a - j_b) % m].
+    U is not symmetric, so a swapped pair axis shows; V comes from a plain
+    loop over configurations."""
+    n, m = n_and_m
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    pair = rng.uniform(0.0, 10.0, size=(m, m))
+    field = rng.uniform(-5.0, 5.0, size=(m, m))
+    hamiltonian = DiscreteHamiltonian(lattice, n, np.zeros((m, m)), pair, field)
+
+    shape = (lattice.d,) * n
+    potential = np.empty(shape)
+    for config in itertools.product(range(lattice.d), repeat=n):
+        sites = [divmod(s, m) for s in config]
+        value = sum(field[i, j] for i, j in sites)
+        for (ia, ja), (ib, jb) in itertools.combinations(sites, 2):
+            value += pair[(ia - ib) % m, (ja - jb) % m]
+        potential[config] = value
+    amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert np.array_equal(hamiltonian.apply(amplitudes), potential * amplitudes)
+
+
 def kronecker_count_projections(p: np.ndarray, q: np.ndarray, n: int) -> list[np.ndarray]:
     """Dense P_0..P_n on n particles.
 
