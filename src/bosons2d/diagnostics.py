@@ -374,7 +374,9 @@ def energy_gap(state: FewBodyState, projector: CondensateProjector,
 
     The many-body energy is taken under hamiltonian when one is given (it
     must live on the state's lattice and particle count), else under one
-    built from interaction and field at the state's time.
+    built from interaction and field at the state's time. The mean-field
+    term reads that Hamiltonian's field table, so both terms see one A;
+    with field=None it takes no field.
     """
     if hamiltonian is None:
         hamiltonian = build_hamiltonian(state.lattice, state.n_particles,
@@ -383,7 +385,7 @@ def energy_gap(state: FewBodyState, projector: CondensateProjector,
           or hamiltonian.n_particles != state.n_particles):
         raise ValueError("state and Hamiltonian live on different spaces")
     many = energy_per_particle(state, hamiltonian)
-    a_now = None if field is None else field.evaluate(state.lattice, state.time)
+    a_now = None if field is None else hamiltonian.external_field
     one = mean_field_energy(projector.phi, state.lattice, coupling, a_now)
     return abs(many - one)
 

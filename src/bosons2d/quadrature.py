@@ -3,6 +3,12 @@
 Radial integrals against the 2D area element show up in every module,
 so the conventions live here: integrate(f) means int_a^b f(r) dr and
 radial weighting (the 2*pi*r factor) is applied by the caller.
+
+Integrands must be elementwise: f(r)[i] depends only on r[i]. The halving
+loop relies on it. Each doubling samples f only at the new midpoints and
+keeps every node it already has, so each node is sampled once, and the
+last pass equals a fresh composite pass on the same nodes bit for bit
+(np.linspace(a, b, 2n + 1)[::2] is np.linspace(a, b, n + 1) exactly).
 """
 from __future__ import annotations
 
@@ -18,6 +24,12 @@ _ATOL = 1e-300
 _MAX_DOUBLINGS = 14
 
 
+def _simpson_sum(y: np.ndarray, a: float, b: float, n: int) -> float:
+    """Composite Simpson sum of the n + 1 samples y on [a, b]."""
+    h = (b - a) / n
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+
 def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                       n: int = 128) -> float:
     """Composite Simpson rule with n subintervals (n is forced even)."""
@@ -26,10 +38,7 @@ def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     n = int(n)
     if n % 2:
         n += 1
-    r = np.linspace(a, b, n + 1)
-    y = np.asarray(f(r), dtype=float)
-    h = (b - a) / n
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+    return _simpson_sum(np.asarray(f(np.linspace(a, b, n + 1)), dtype=float), a, b, n)
 
 
 def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -40,13 +49,26 @@ def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     the two finest levels; iteration stops once it drops below tolerance. A
     run that reaches _MAX_DOUBLINGS without meeting it returns the same pair
     and emits a RuntimeWarning naming the interval, the estimate and rtol.
+
+    f must be elementwise. Each doubling samples it only at the new odd
+    nodes, so every node is sampled once, and each pass, the last included,
+    equals composite_simpson(f, a, b, n) on its n bit for bit.
     """
+    if b <= a:
+        return 0.0, 0.0
     n = _N0
-    prev = composite_simpson(f, a, b, n)
+    y = np.asarray(f(np.linspace(a, b, n + 1)), dtype=float)
+    prev = _simpson_sum(y, a, b, n)
     err = np.inf
     for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        cur = composite_simpson(f, a, b, n)
+        # The odd nodes are copied to a contiguous array, so f sees the
+        # layout a fresh pass gives it.
+        new = np.ascontiguousarray(np.linspace(a, b, 2 * n + 1)[1::2])
+        fine = np.empty(2 * n + 1)
+        fine[::2] = y
+        fine[1::2] = np.asarray(f(new), dtype=float)
+        y, n = fine, 2 * n
+        cur = _simpson_sum(y, a, b, n)
         err = abs(cur - prev)
         prev = cur
         if err <= rtol * max(abs(cur), _ATOL) + _ATOL:

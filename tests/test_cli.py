@@ -183,6 +183,22 @@ def test_default_runs_match_the_recorded_identity(tmp_path):
         assert manifest.artifacts == recorded["artifacts"], scenario
 
 
+@pytest.mark.skipif((np.__version__, scipy.__version__)
+                    != (RUN_IDENTITY["numpy"], RUN_IDENTITY["scipy"]),
+                    reason=f"identity table recorded with numpy {RUN_IDENTITY['numpy']} and "
+                           f"scipy {RUN_IDENTITY['scipy']}")
+@pytest.mark.parametrize("recorded", RUN_IDENTITY["extra_runs"],
+                         ids=lambda r: f"{r['scenario']}-{r['config_hash'][:12]}")
+def test_pinned_runs_match_the_recorded_identity(tmp_path, recorded):
+    """Non-default configs (a seeded threaded gp run, fewbody V_N and M_beta,
+    compare with a field for each scaling) reproduce their recorded identity."""
+    config = load_config(recorded["scenario"], {**recorded["overrides"], "out_dir": str(tmp_path)})
+    manifest = run(config)
+    assert manifest.passed
+    assert manifest.config_hash == recorded["config_hash"]
+    assert manifest.artifacts == recorded["artifacts"]
+
+
 def test_seed_feeds_the_initial_data(tmp_path):
     runs = [run(load_config("gp", {"grid_points": 16, "t_final": 5e-3, "seed": s,
                                    "out_dir": str(tmp_path / str(i))}))

@@ -410,6 +410,44 @@ def test_energy_gap_product_state_interaction_oracle():
     assert energy_gap(state, proj, W, matched) < 1e-11
 
 
+def test_energy_gap_reads_the_field_from_a_given_hamiltonian(monkeypatch):
+    lat = Lattice2D(4, 1.0)
+    phi = lattice_field(lat)
+    proj = CondensateProjector(lat, phi)
+    state = depleted_state(lat, phi, 0.1)
+    V = make_scaled("V_N", square_well(4.0, 0.5), N=2)
+    field = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * x))
+    micro = SimpleNamespace(R_beta=1e-6, degenerate=False,
+                            g_evaluate=lambda r: np.zeros_like(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        hamiltonian = build_hamiltonian(lat, 2, V, field, t=state.time)
+        calls = []
+        evaluate = ExternalField.evaluate
+        monkeypatch.setattr(ExternalField, "evaluate",
+                            lambda self, grid, t: calls.append(t) or evaluate(self, grid, t))
+        alpha_full(state, proj, V, micro, field, hamiltonian=hamiltonian)
+    assert calls == []
+
+
+def test_energy_gap_terms_share_the_hamiltonian_field_table():
+    """H is frozen at t = 0 and the state sits at t = 0.3: both terms read
+    H's table, not the field at the state's time."""
+    lat = Lattice2D(4, 1.0)
+    phi = lattice_field(lat)
+    proj = CondensateProjector(lat, phi)
+    state = FewBodyState(lat, depleted_state(lat, phi, 0.1).amplitudes, 0.3)
+    W = make_scaled("W_beta", square_well(4.0, 0.5), N=2, beta=0.5)
+    field = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * (x + t)))
+    hamiltonian = build_hamiltonian(lat, 2, W, field, t=0.0)
+    gap = energy_gap(state, proj, W, 4.0 * math.pi, field, hamiltonian)
+    expected = abs(energy_per_particle(state, hamiltonian)
+                   - mean_field_energy(proj.phi, lat, 4.0 * math.pi, hamiltonian.external_field))
+    assert gap == expected
+    moved = mean_field_energy(proj.phi, lat, 4.0 * math.pi, field.evaluate(lat, 0.3))
+    assert abs(energy_per_particle(state, hamiltonian) - moved) != gap
+
+
 # ------------------------------------------------------------- functionals
 
 

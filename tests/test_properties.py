@@ -1,12 +1,14 @@
 """Property tests of the shared periodic lattice, the one Strang stepper and
 its caches, the few-body Hamiltonian's action, the count algebra, the radial
-scattering solve, checkpoints and config canonicalization, against
-independent closed-form and dense oracles."""
+scattering solve, the nested-node Simpson halving, checkpoints and config
+canonicalization, against independent closed-form and dense oracles."""
 import functools
 import itertools
+import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,13 @@ from bosons2d.gp import (
     read_checkpoint,
     step,
     write_checkpoint,
+)
+from bosons2d.quadrature import (
+    _ATOL,
+    _MAX_DOUBLINGS,
+    _N0,
+    composite_simpson,
+    simpson_with_halving,
 )
 from bosons2d.scattering import scaled_scattering_identity, solve_zero_energy, square_well
 
@@ -137,6 +146,32 @@ def test_nonlinear_step_is_reversible_unitary_and_shared(m, box_length, dt, seed
     assert float(np.sum(np.abs(lattice_step) ** 2)) * cell == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16, 32, 64]),
+       box_length=st.floats(0.5, 8.0),
+       coupling=st.floats(0.1, 50.0),
+       dt=st.floats(1e-4, 5e-2),
+       start=st.floats(-10.0, 10.0),
+       driven=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_step_is_reversed_by_the_negative_step(n, box_length, coupling, dt, start,
+                                                    driven, seed):
+    """gp.step(-dt) after gp.step(dt) gives back the start state, for a static
+    field and for a time-dependent one, with b > 0."""
+    rng = np.random.default_rng(seed)
+    a, omega = rng.uniform(-5.0, 5.0, size=2)
+    if driven:
+        field = ExternalField.from_function(lambda x, y, t: a * np.cos(x + omega * t) * np.sin(y))
+    else:
+        field = ExternalField.from_function(lambda x, y, t: a * np.cos(x) * np.sin(y))
+    grid = Grid2D(n, box_length)
+    state = GpState(grid, random_field(rng, grid), start)
+    params = GpParams(coupling, dt=dt)
+    back = step(step(state, field, params, dt=dt), field, params, dt=-dt)
+    norm = math.sqrt(float(np.sum(np.abs(state.amplitudes) ** 2)))
+    assert np.linalg.norm(back.amplitudes - state.amplitudes) <= 1e-12 * norm
+
+
 def fresh_strang_step(psi: np.ndarray, grid: Grid2D, coupling: float, field: ExternalField,
                       t: float, dt: float) -> np.ndarray:
     """One Strang step that caches nothing: the field is evaluated at both
@@ -232,6 +267,55 @@ def test_canonical_config_round_trips(scenario, seed, coupling, xi, box_length, 
     again = load_config(scenario, canonical_dict(config))
     assert again == config
     assert config_hash(again) == config_hash(config)
+
+
+sweep_values = st.lists(st.integers(2, 4096), min_size=1, max_size=5)
+scenario_values = {"scattering": sweep_values, "microscopic": sweep_values,
+                   "smearing": sweep_values, "gp": st.just([1]),
+                   "fewbody": st.just([2]), "compare": st.just([2])}
+
+
+@st.composite
+def scenario_overrides(draw):
+    """A scenario and overrides across its fields; float fields may be drawn
+    as ints and sequences as lists, as a JSON config file would give them."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    number = st.one_of(st.integers(1, 8), st.floats(0.1, 8.0))
+    beta = draw(st.floats(0.1, 2.0))
+    t_final = draw(st.one_of(st.just(1), st.floats(0.01, 1.0)))
+    groups = {
+        "n_values": {"n_values": draw(scenario_values[scenario])},
+        "beta": {"beta": beta, "beta1": draw(st.floats(0.01, 0.99)) * beta},
+        "coupling": {"coupling": draw(number)},
+        "grid_points": {"grid_points": draw(st.sampled_from([4, 8, 16, 32, 64]))},
+        "lattice_points": {"lattice_points": draw(st.integers(2, 6))},
+        "box_length": {"box_length": draw(number)},
+        "time": {"t_final": t_final, "dt": draw(st.floats(0.001, 1.0)) * t_final},
+        "field_amplitude": {"field_amplitude": draw(number)},
+        "seed": {"seed": draw(st.integers(0, 10 ** 6))},
+        "potential": {"potential": {
+            "scaling": draw(st.sampled_from(["W_beta", "V_N", "M_beta"])),
+            "height": draw(number), "radius": draw(st.floats(0.1, 0.9))}},
+    }
+    overrides = {}
+    for group in sorted(draw(st.sets(st.sampled_from(sorted(groups))))):
+        overrides.update(groups[group])
+    return scenario, overrides
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scenario_overrides())
+def test_config_canonicalization_is_idempotent(case):
+    """Loading the canonical form, straight or through JSON, gives the same
+    config, the same canonical form and the same hash."""
+    scenario, overrides = case
+    config = load_config(scenario, overrides)
+    canonical = canonical_dict(config)
+    for data in (canonical, json.loads(json.dumps(canonical))):
+        again = load_config(scenario, data)
+        assert again == config
+        assert canonical_dict(again) == canonical
+        assert config_hash(again) == config_hash(config)
 
 
 @settings(max_examples=30, deadline=None)
@@ -352,3 +436,69 @@ def test_square_well_solve_matches_bessel_oracle(r0, x, boundary_ratio, N):
     s = sol.evaluate(np.linspace(0.0, R, 401))
     assert np.all(np.diff(s) >= 0.0)
     assert abs(s[-1] - 1.0) <= 1e-12
+
+
+def fresh_pass_halving(f, a: float, b: float, rtol: float) -> tuple[float, float, int, bool]:
+    """Simpson halving that samples every node again at each doubling: one
+    composite_simpson per level. Returns (value, error, final n, capped)."""
+    n = _N0
+    prev = composite_simpson(f, a, b, n)
+    err = math.inf
+    for _ in range(_MAX_DOUBLINGS):
+        n *= 2
+        cur = composite_simpson(f, a, b, n)
+        err = abs(cur - prev)
+        prev = cur
+        if err <= rtol * max(abs(cur), _ATOL) + _ATOL:
+            return prev, err, n, False
+    return prev, err, n, True
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-1e3, 1e3),
+       width=st.floats(1e-9, 1e3),
+       integrand=st.sampled_from(["sqrt", "log1p", "cubic", "gauss", "kink"]),
+       kink_at=st.floats(0.0, 1.0),
+       rtol=st.sampled_from([1e-5, 1e-8, 1e-11]))
+def test_nested_simpson_halving_matches_fresh_passes(a, width, integrand, kink_at, rtol):
+    """The nested halving returns the exact (value, error) of fresh composite
+    passes, samples each of the n + 1 final nodes once, and warns at the cap
+    with the same text."""
+    b = a + width
+    kink = a + kink_at * width
+    f = {"sqrt": lambda r: np.sqrt(np.abs(r)),
+         "log1p": lambda r: np.log1p(np.abs(r)),
+         "cubic": lambda r: ((0.5 * r - 1.5) * r + 2.0) * r - 0.25,
+         "gauss": lambda r: np.exp(-r * r),
+         "kink": lambda r: np.abs(r - kink)}[integrand]
+    samples = []
+
+    def recording(r: np.ndarray) -> np.ndarray:
+        samples.append(r.copy())
+        return f(r)
+
+    value, err, n, capped = fresh_pass_halving(f, a, b, rtol)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert simpson_with_halving(recording, a, b, rtol=rtol) == (value, err)
+    expected = ([f"Simpson halving on [{a!r}, {b!r}] stopped after {_MAX_DOUBLINGS} doublings "
+                 f"with error estimate {err:.3e} against rtol {rtol:.1e} (value {value:.6e})"]
+                if capped else [])
+    assert [str(w.message) for w in caught] == expected
+    nodes = np.concatenate(samples)
+    assert nodes.size == n + 1
+    assert np.array_equal(np.sort(nodes), np.sort(np.linspace(a, b, n + 1)))
+
+
+def test_nested_simpson_halving_warns_at_the_cap_with_the_old_text():
+    """sqrt(r) on [0, 1] at rtol 1e-15 reaches the cap; the message and the
+    returned pair are those of the fresh-pass loop."""
+    value, err, n, capped = fresh_pass_halving(np.sqrt, 0.0, 1.0, 1e-15)
+    assert capped and n == _N0 * 2 ** _MAX_DOUBLINGS
+    with pytest.warns(RuntimeWarning) as caught:
+        assert simpson_with_halving(np.sqrt, 0.0, 1.0, rtol=1e-15) == (value, err)
+    assert [str(w.message) for w in caught] == [
+        f"Simpson halving on [0.0, 1.0] stopped after 14 doublings with error estimate "
+        f"{err:.3e} against rtol 1.0e-15 (value {value:.6e})"]
+    assert simpson_with_halving(np.sqrt, 1.0, 1.0) == (0.0, 0.0)
+    assert simpson_with_halving(np.sqrt, 1.0, 0.5) == (0.0, 0.0)
