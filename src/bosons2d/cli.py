@@ -528,8 +528,7 @@ def _run_fewbody(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     lattice = Lattice2D(config.lattice_points, config.box_length)
     interaction, micro, _ = _scaled_interaction(config, n) if n >= 2 else (None, None, 0.0)
     field = _cosine_field(config.field_amplitude, config.box_length)
-    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0,
-                                    workers=config.threads)
+    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0)
 
     phi = _lattice_condensate(lattice)
     state = jastrow_initial_state(phi, micro, lattice, n)
@@ -556,8 +555,7 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     lattice = Lattice2D(config.lattice_points, config.box_length)
     interaction, micro, coupling = _scaled_interaction(config, n)
     field = _cosine_field(config.field_amplitude, config.box_length)
-    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0,
-                                    workers=config.threads)
+    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0)
     field_table = None if field is None else hamiltonian.external_field
 
     phi = _lattice_condensate(lattice).astype(np.complex128)
@@ -685,7 +683,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file of config overrides")
         p.add_argument("--out", type=str, default=None, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="base seed")
-        p.add_argument("--threads", type=int, default=None, help="FFT worker threads")
+        p.add_argument("--threads", type=int, default=None,
+                       help="FFT worker threads of the gp scenario")
     return parser
 
 

@@ -4,19 +4,21 @@ States live on the N-fold tensor power of the m x m site lattice, stored as
 a complex tensor with one axis of length d = m^2 per particle. The
 Hamiltonian applies a spectral single-particle Laplacian (so lattice plane
 waves are exact eigenstates), a pairwise interaction sampled at periodic
-minimum-image displacements, and an external per-site field. Propagation is
-a Krylov approximation of the matrix exponential with full
-reorthogonalization, falling back to adaptive sub-stepping; small problems
-(dimension <= 4096) may instead use a cached real eigendecomposition of the
-dense real symmetric matrix. That matrix is assembled from Kronecker sums of
-the kinetic circulant plus the diagonal potential, not from the matrix-free
-action, so it also checks that action independently.
+minimum-image displacements, and an external per-site field. The spectral
+symbol is a sum of a row and a column part, so the kinetic action is one
+real m x m circulant product along each of the 2N site axes. Propagation is
+the Chebyshev series of the matrix exponential over an exact bound of the
+spectrum; small problems (dimension <= 4096) may instead use a cached real
+eigendecomposition of the dense real symmetric matrix. That matrix is
+assembled from Kronecker sums of the two-dimensional kinetic circulant plus
+the diagonal potential, not from the matrix-free action, so it also checks
+that action independently.
 
 Layout: particle j is axis j of the (d,)^N amplitude tensor, and site
-(i, k) of an (m, m) table is index i m + k along it. The spectral kinetic
-term reads the same bytes as the (m,)^{2N} FFT view, with particle j on
-axes 2j and 2j + 1. `_on_particles` is the one place that lines a site or
-site-pair table up with particle axes.
+(i, k) of an (m, m) table is index i m + k along it. The kinetic action
+reads the same bytes as the (m,)^{2N} site-axis view, with particle j on
+axes 2j (row i) and 2j + 1 (column k). `_on_particles` is the one place
+that lines a site or site-pair table up with particle axes.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 import scipy.fft
+import scipy.special
 
 from .gp import ExternalField, Lattice2D, _csv_recorder, _read_tensor, _write_tensor
 
@@ -50,8 +53,9 @@ __all__ = [
 DIMENSION_BUDGET = 1 << 22
 _DENSE_LIMIT = 4096
 _AUTO_DENSE_LIMIT = 1024
-_MAX_SUBSTEP_DEPTH = 8
-_KRYLOV_TOL = 1e-12
+_MAX_SERIES_TERMS = 10_000
+_SERIES_TOL = 1e-16
+_SPECTRAL_PAD = 1e-12
 
 
 def _pair_site_table(m: int, displacement_values: np.ndarray) -> np.ndarray:
@@ -60,6 +64,14 @@ def _pair_site_table(m: int, displacement_values: np.ndarray) -> np.ndarray:
     row = (idx[:, None, None, None] - idx[None, None, :, None]) % m
     col = (idx[None, :, None, None] - idx[None, None, None, :]) % m
     return displacement_values[row, col].reshape(m * m, m * m)
+
+
+def _circulant(symbol: np.ndarray) -> np.ndarray:
+    """Real m x m circulant whose action is ifft(symbol * fft(.)) for an
+    even real symbol; it is symmetric."""
+    first = scipy.fft.ifft(symbol).real
+    idx = np.arange(symbol.size)
+    return first[(idx[:, None] - idx[None, :]) % symbol.size]
 
 
 def _on_particles(table: np.ndarray, particles: Sequence[int], n: int) -> np.ndarray:
@@ -119,8 +131,9 @@ class DiscreteHamiltonian:
     kinetic_symbol is the per-particle spectral Laplacian multiplier |k|^2,
     interaction_table samples U at minimum-image coordinate displacements,
     and external_field is A at the build time, all real (m, m) arrays. The
-    full diagonal potential and the summed kinetic multiplier are
-    precomputed dense tensors on the (m,)^{2N} FFT view.
+    symbol must split exactly into an even row part plus an even column
+    part; each becomes a real m x m circulant. The full diagonal potential
+    is precomputed as a dense tensor on the (m,)^{2N} site-axis view.
     """
     lattice: Lattice2D
     n_particles: int
@@ -128,7 +141,6 @@ class DiscreteHamiltonian:
     interaction_table: np.ndarray
     external_field: np.ndarray
     time: float = 0.0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         m, n = self.lattice.m, self.n_particles
@@ -137,38 +149,53 @@ class DiscreteHamiltonian:
         dim = self.lattice.d ** n
         if dim > DIMENSION_BUDGET:
             raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")
-        for name in ("interaction_table", "external_field"):
+        for name in ("kinetic_symbol", "interaction_table", "external_field"):
             if np.iscomplexobj(getattr(self, name)):
                 raise ValueError(f"{name} must be real, got a complex table")
         if np.any(self.interaction_table < 0):
             raise ValueError("interaction samples must be nonnegative")
-        kinetic_total = np.zeros((self.lattice.d,) * n)
+        symbol = self.kinetic_symbol
+        rows, cols = symbol[:, 0], symbol[0, :] - symbol[0, 0]
+        mirror = (-np.arange(m)) % m
+        if not (np.array_equal(symbol, rows[:, None] + cols[None, :])
+                and np.array_equal(rows, rows[mirror]) and np.array_equal(cols, cols[mirror])):
+            raise ValueError("kinetic_symbol must be an even row part plus an even column part")
         potential_total = np.zeros((self.lattice.d,) * n)
         for p in range(n):
-            kinetic_total = kinetic_total + _on_particles(self.kinetic_symbol.ravel(), (p,), n)
             potential_total = potential_total + _on_particles(self.external_field.ravel(),
                                                               (p,), n)
         pair_d = _pair_site_table(m, self.interaction_table)
         for a in range(n):
             for b in range(a + 1, n):
                 potential_total = potential_total + _on_particles(pair_d, (a, b), n)
-        fft_view = (m,) * (2 * n)
-        object.__setattr__(self, "_kinetic_total", kinetic_total.reshape(fft_view))
-        object.__setattr__(self, "_potential_total", potential_total.reshape(fft_view))
+        col_circulant = _circulant(cols)
+        object.__setattr__(self, "_potential_total", potential_total.reshape((m,) * (2 * n)))
+        object.__setattr__(self, "_circulants", (_circulant(rows), col_circulant,
+                                                 col_circulant.astype(np.complex128)))
         object.__setattr__(self, "_cache", {})
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """V psi plus one circulant product along each of the 2N site axes:
+        real products on the float64 view (real and imaginary parts side by
+        side in the last axis) for every axis but the last, and a complex
+        product for the last one."""
         m, n = self.lattice.m, self.n_particles
-        psi = amplitudes.reshape((m,) * (2 * n))
-        psi_hat = scipy.fft.fftn(psi, workers=self.workers)
-        kinetic = scipy.fft.ifftn(self._kinetic_total * psi_hat, workers=self.workers)
-        return (kinetic + self._potential_total * psi).reshape(amplitudes.shape)
+        psi = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape((m,) * (2 * n))
+        out = self._potential_total * psi
+        rows, cols, last = self._circulants
+        psi_real, out_real = psi.view(np.float64), out.view(np.float64)
+        for axis in range(2 * n - 1):
+            target = out_real.reshape(m ** axis, m, -1)
+            target += np.matmul(cols if axis % 2 else rows, psi_real.reshape(m ** axis, m, -1))
+        target = out.reshape(-1, m)
+        target += psi.reshape(-1, m) @ last
+        return out.reshape(amplitudes.shape)
 
 
 def build_hamiltonian(lattice: Lattice2D, n_particles: int,
                       interaction: Callable[[np.ndarray], np.ndarray] | None = None,
-                      field: ExternalField | None = None, t: float = 0.0,
-                      workers: int = 1) -> DiscreteHamiltonian:
+                      field: ExternalField | None = None,
+                      t: float = 0.0) -> DiscreteHamiltonian:
     """Assemble the lattice Hamiltonian at external-field time t.
 
     interaction is any radial potential callable (evaluated at minimum-image
@@ -193,7 +220,7 @@ def build_hamiltonian(lattice: Lattice2D, n_particles: int,
     a_now = (np.zeros((lattice.m, lattice.m)) if field is None
              else field.evaluate(lattice, t))
     return DiscreteHamiltonian(lattice, int(n_particles), lattice.kinetic_symbol(), table,
-                               a_now, time=t, workers=workers)
+                               a_now, time=t)
 
 
 def hermiticity_defect(hamiltonian: DiscreteHamiltonian, n_pairs: int = 20,
@@ -264,82 +291,89 @@ def _dense_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
     return (v @ coeffs.view(np.float64)).view(np.complex128).reshape(amplitudes.shape)
 
 
-def _lanczos_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray, dt: float,
-                  tol: float, max_dim: int, depth: int = 0) -> np.ndarray:
-    """exp(-i dt H) v by Lanczos with full reorthogonalization.
+def _series_length(reach: float) -> int:
+    """Number of Chebyshev terms: the first order k > reach with
+    |J_k(reach)| below roundoff. Past reach J_k(reach) falls monotonically
+    in k, so a doubling search and a bisection find that order."""
+    low, step = math.floor(reach), 1
+    while abs(scipy.special.jv(low + step, reach)) >= _SERIES_TOL:
+        low, step = low + step, 2 * step
+    high = low + step
+    while high - low > 1:
+        mid = (low + high) // 2
+        if abs(scipy.special.jv(mid, reach)) < _SERIES_TOL:
+            high = mid
+        else:
+            low = mid
+    return high
 
-    The a-posteriori estimate is the classical last-entry bound; when the
-    subspace saturates without meeting tol the step recurses on two half
-    steps, at most _MAX_SUBSTEP_DEPTH times before reporting failure. The
-    subspace counts as invariant (breakdown) once the new residual is at
-    most 1e-13 of |H v_k|, where only roundoff of the apply is left, so a
-    large constant shift of H cannot hide an exact eigenvector.
+
+def _chebyshev_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
+                    dt: float) -> np.ndarray:
+    """exp(-i dt H) v by the Chebyshev series of Tal-Ezer and Kosloff
+    (J. Chem. Phys. 81, 3967, 1984).
+
+    The spectrum lies in [N min S + min V, N max S + max V] (kinetic symbol
+    S, diagonal potential V), padded by a relative roundoff margin. With
+    centre c and half-width R, exp(-i dt H) = exp(-i dt c) sum_k
+    (2 - delta_k0) (-i sign dt)^k J_k(|dt| R) T_k((H - c) / R), truncated
+    where |J_k| falls below roundoff. Three vectors follow the three-term
+    recurrence; a fourth holds the sum.
     """
-    flat = amplitudes.ravel()
-    nrm = np.linalg.norm(flat)
-    if nrm == 0.0:
-        return amplitudes
-    shape = amplitudes.shape
-    basis = [flat / nrm]
-    alphas: list[float] = []
-    betas: list[float] = []
-    estimate = math.inf
-    for k in range(max_dim):
-        w = hamiltonian.apply(basis[k].reshape(shape)).ravel()
-        applied = float(np.linalg.norm(w))
-        alphas.append(float(np.real(np.vdot(basis[k], w))))
-        w = w - alphas[k] * basis[k]
-        if k > 0:
-            w = w - betas[k - 1] * basis[k - 1]
-        for q in basis:
-            w = w - np.vdot(q, w) * q
-        beta = float(np.linalg.norm(w))
-        tri = np.diag(alphas).astype(complex)
-        off = np.asarray(betas)
-        if off.size:
-            tri += np.diag(off, 1) + np.diag(off, -1)
-        eigval, eigvec = np.linalg.eigh(tri)
-        small = eigvec @ (np.exp(-1j * dt * eigval) * eigvec[0].conj())
-        if beta <= 1e-13 * applied:
-            estimate = 0.0
-            break
-        estimate = abs(dt) * beta * abs(small[-1])
-        if estimate < tol and k + 1 >= 3:
-            break
-        betas.append(beta)
-        basis.append(w / beta)
-    else:
-        small = None
-    if small is None or estimate >= tol:
-        if depth >= _MAX_SUBSTEP_DEPTH:
-            raise RuntimeError(
-                f"Krylov propagation failed: estimate {estimate:.3e} above {tol:.1e} "
-                f"at subspace dimension {max_dim}, sub-step depth {depth}")
-        half = _lanczos_step(hamiltonian, amplitudes, dt / 2.0, tol, max_dim, depth + 1)
-        return _lanczos_step(hamiltonian, half, dt / 2.0, tol, max_dim, depth + 1)
-    out = np.zeros_like(flat)
-    for coeff, vec in zip(small[: len(basis)], basis):
-        out += coeff * vec
-    return (nrm * out).reshape(shape)
+    cache = hamiltonian._cache
+    if "interval" not in cache:
+        n, potential = hamiltonian.n_particles, hamiltonian._potential_total
+        lo = n * float(np.min(hamiltonian.kinetic_symbol)) + float(np.min(potential))
+        hi = n * float(np.max(hamiltonian.kinetic_symbol)) + float(np.max(potential))
+        pad = _SPECTRAL_PAD * max(abs(lo), abs(hi))
+        cache["interval"] = (lo - pad, hi + pad)
+    lo, hi = cache["interval"]
+    centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    reach = abs(dt) * half
+    count = _series_length(reach)
+    if count > _MAX_SERIES_TERMS:
+        raise RuntimeError(
+            f"Chebyshev propagation for dt {dt:.6g} over the spectral interval "
+            f"[{lo:.6g}, {hi:.6g}] needs {count} terms, above the ceiling {_MAX_SERIES_TERMS}")
+    orders = np.arange(count)
+    coeffs = scipy.special.jv(orders, reach) * (-1j * math.copysign(1.0, dt)) ** orders
+    coeffs[1:] *= 2.0
+    prev = np.asarray(amplitudes, dtype=np.complex128)
+    out = coeffs[0] * prev
+    if count > 1:
+        cur = hamiltonian.apply(prev)
+        cur -= centre * prev
+        cur /= half
+        out += coeffs[1] * cur
+        for coeff in coeffs[2:]:
+            nxt = hamiltonian.apply(cur)
+            nxt -= centre * cur
+            nxt *= 2.0 / half
+            nxt -= prev
+            out += coeff * nxt
+            prev, cur = cur, nxt
+    out *= np.exp(-1j * dt * centre)
+    return out
 
 
 def propagate(state: FewBodyState, hamiltonian: DiscreteHamiltonian, dt: float,
-              method: str = "auto", max_krylov_dim: int = 40) -> FewBodyState:
+              method: str = "auto") -> FewBodyState:
     """Advance by dt under the (time-frozen) Hamiltonian.
 
     method "auto" picks the cached dense eigendecomposition for dimensions
-    up to 1024 and Lanczos otherwise; "dense" and "krylov" force the choice.
+    up to 1024 and the Chebyshev series otherwise; "dense" and "chebyshev"
+    force the choice. The series raises a RuntimeError when it would need
+    more than 10 000 terms, about |dt| times the spectral half-width.
     """
     if state.lattice != hamiltonian.lattice or state.n_particles != hamiltonian.n_particles:
         raise ValueError("state and Hamiltonian live on different spaces")
     dim = state.lattice.d ** state.n_particles
     if method == "auto":
-        method = "dense" if dim <= _AUTO_DENSE_LIMIT else "krylov"
+        method = "dense" if dim <= _AUTO_DENSE_LIMIT else "chebyshev"
     if method == "dense":
         amp = _dense_step(hamiltonian, state.amplitudes, float(dt))
-    elif method == "krylov":
-        amp = _lanczos_step(hamiltonian, state.amplitudes, float(dt),
-                            _KRYLOV_TOL, max_krylov_dim)
+    elif method == "chebyshev":
+        amp = _chebyshev_step(hamiltonian, state.amplitudes, float(dt))
     else:
         raise ValueError(f"unknown method {method!r}")
     return FewBodyState(state.lattice, amp, state.time + float(dt))

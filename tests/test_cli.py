@@ -217,7 +217,7 @@ def test_threaded_sweep_matches_serial(tmp_path):
                        / "fits.json").read_text())
     assert fits["R_beta"]["exponent"] == pytest.approx(-0.5, abs=0.1)
     assert {"g_l1", "g_l2"} <= set(fits)
-    # fewbody and compare hand threads to the Hamiltonian's FFT workers.
+    # threads sets only the gp FFT workers; fewbody and compare must not move.
     for scenario, small in (("fewbody", {"lattice_points": 4, "t_final": 0.01,
                                          "dt": 2e-3, "field_amplitude": 1.0}),
                             ("compare", {"lattice_points": 4, "t_final": 0.01,

@@ -197,6 +197,8 @@ def test_energy_constant_static_field():
 
 
 def test_krylov_matches_dense():
+    """The Chebyshev series, a polynomial in H and so a Krylov method,
+    against the dense eigendecomposition."""
     lat = Lattice2D(4, 1.0)
     w = make_scaled("W_beta", BASE, N=4, beta=0.5)
     ham = build_hamiltonian(lat, 2, interaction=w, field=cosine_field(lat))
@@ -205,36 +207,35 @@ def test_krylov_matches_dense():
     b = state
     for _ in range(10):
         a = propagate(a, ham, 0.05, method="dense")
-        b = propagate(b, ham, 0.05, method="krylov")
+        b = propagate(b, ham, 0.05, method="chebyshev")
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-9
 
 
-def test_substepping_recovers_large_dt():
+def test_large_dt_matches_dense():
     lat = Lattice2D(4, 2.0)
     ham = build_hamiltonian(lat, 1, field=cosine_field(lat))
     phi = smooth_phi(lat)
     state = FewBodyState(lat, phi.ravel()).normalized()
     direct = propagate(state, ham, 0.5, method="dense")
-    krylov = propagate(state, ham, 0.5, method="krylov", max_krylov_dim=10)
-    assert np.max(np.abs(direct.amplitudes - krylov.amplitudes)) < 1e-9
+    series = propagate(state, ham, 0.5, method="chebyshev")
+    assert np.max(np.abs(direct.amplitudes - series.amplitudes)) < 1e-9
 
 
 def test_krylov_failure_report():
     lat = Lattice2D(4, 1.0)
     ham = build_hamiltonian(lat, 1, field=cosine_field(lat))
     state = FewBodyState(lat, smooth_phi(lat).ravel()).normalized()
-    with pytest.raises(RuntimeError, match="sub-step"):
-        propagate(state, ham, 1e6, method="krylov", max_krylov_dim=3)
+    with pytest.raises(RuntimeError, match=r"dt 1e\+06 over the spectral interval .* terms, "
+                                           r"above the ceiling 10000"):
+        propagate(state, ham, 1e6, method="chebyshev")
 
 
 @pytest.mark.parametrize("m, wavenumber", [(4, 0), (6, 1)])
-def test_lanczos_breakdown_under_a_large_constant_field(monkeypatch, m, wavenumber):
+def test_series_centre_absorbs_a_large_constant_field(monkeypatch, m, wavenumber):
     """The uniform state and a plane wave are exact eigenvectors under
-    A = 1e6. On 6 x 6 the residual after one apply is roundoff of the shift,
-    about 1e-10, so only a breakdown test relative to |H v| stops there."""
+    A = 1e6. The series centre takes the shift, so the step is exact and
+    needs as many terms as under A = 0."""
     lat = Lattice2D(m, 1.0)
-    ham = build_hamiltonian(
-        lat, 1, field=ExternalField.from_function(lambda x, y, t: np.full_like(x, 1e6)))
     xx, _ = lat.meshes()
     k = 2.0 * math.pi / lat.box_length * wavenumber
     state = FewBodyState(lat, np.exp(1j * k * xx).ravel()).normalized()
@@ -243,10 +244,16 @@ def test_lanczos_breakdown_under_a_large_constant_field(monkeypatch, m, wavenumb
     monkeypatch.setattr(DiscreteHamiltonian, "apply",
                         lambda self, v: applies.append(1) or apply(self, v))
     dt = 1e-3
-    stepped = propagate(state, ham, dt, method="krylov")
-    assert len(applies) == 1
-    exact = np.exp(-1j * dt * (1e6 + k * k)) * state.amplitudes
-    assert np.max(np.abs(stepped.amplitudes - exact)) < 1e-12
+    counts = []
+    for amplitude in (1e6, 0.0):
+        applies.clear()
+        ham = build_hamiltonian(lat, 1, field=ExternalField.from_function(
+            lambda x, y, t, a=amplitude: np.full_like(x, a)))
+        stepped = propagate(state, ham, dt, method="chebyshev")
+        exact = np.exp(-1j * dt * (amplitude + k * k)) * state.amplitudes
+        assert np.max(np.abs(stepped.amplitudes - exact)) < 1e-12
+        counts.append(len(applies))
+    assert counts[0] == counts[1] > 0
 
 
 def test_propagate_space_mismatch():

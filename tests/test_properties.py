@@ -26,7 +26,14 @@ from bosons2d.diagnostics import (
     mean_field_energy,
     mean_field_step,
 )
-from bosons2d.fewbody import DiscreteHamiltonian, Lattice2D, dense_matrix
+from bosons2d.fewbody import (
+    DiscreteHamiltonian,
+    FewBodyState,
+    Lattice2D,
+    dense_matrix,
+    energy_per_particle,
+    propagate,
+)
 from bosons2d.gp import (
     ExternalField,
     GpParams,
@@ -372,6 +379,111 @@ def test_assembled_potential_matches_a_configuration_loop(n_and_m, box_length, s
         potential[config] = value
     amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     assert np.array_equal(hamiltonian.apply(amplitudes), potential * amplitudes)
+
+
+def fft_apply(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray) -> np.ndarray:
+    """H psi with the kinetic term as one full FFT over the (m,)^{2N} site-axis
+    view, multiplied by the summed |k|^2 symbol of the particles: an oracle
+    for the circulant products of `apply`."""
+    m, n = hamiltonian.lattice.m, hamiltonian.n_particles
+    kinetic_total = sum(hamiltonian.kinetic_symbol.reshape((1,) * (2 * p) + (m, m)
+                                                           + (1,) * (2 * (n - p - 1)))
+                        for p in range(n))
+    psi = amplitudes.reshape((m,) * (2 * n))
+    kinetic = scipy.fft.ifftn(kinetic_total * scipy.fft.fftn(psi))
+    return (kinetic + hamiltonian._potential_total * psi).reshape(amplitudes.shape)
+
+
+def infinity_norm(hamiltonian: DiscreteHamiltonian) -> float:
+    """Largest absolute row sum of H. Every row of the kinetic Kronecker sum
+    holds N copies of the one-particle circulant row, whose entries are the
+    inverse 2-D FFT of the symbol, with all N diagonal entries on the diagonal."""
+    n = hamiltonian.n_particles
+    row = scipy.fft.ifft2(hamiltonian.kinetic_symbol).real
+    off_diagonal = n * (np.sum(np.abs(row)) - abs(row[0, 0]))
+    return off_diagonal + float(np.max(np.abs(n * row[0, 0] + hamiltonian._potential_total)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_and_m=st.sampled_from([(n, m) for m in range(2, 9) for n in range(1, 4)
+                                if (m * m) ** n <= 65536]),
+       box_length=st.floats(0.25, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hamiltonian_action_matches_the_fft_oracle(n_and_m, box_length, seed):
+    """apply against a full FFT of the summed symbol, plane waves as exact
+    eigenvectors, and a symbol that does not split is rejected by name."""
+    n, m = n_and_m
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    symbol = lattice.kinetic_symbol()
+    hamiltonian = DiscreteHamiltonian(lattice, n, symbol,
+                                      rng.uniform(0.0, 10.0, size=(m, m)),
+                                      rng.uniform(-5.0, 5.0, size=(m, m)))
+    shape = (lattice.d,) * n
+    amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    scale = infinity_norm(hamiltonian) * np.linalg.norm(amplitudes.ravel())
+    assert np.linalg.norm((hamiltonian.apply(amplitudes)
+                           - fft_apply(hamiltonian, amplitudes)).ravel()) <= 1e-12 * scale
+
+    free = DiscreteHamiltonian(lattice, n, symbol, np.zeros((m, m)), np.zeros((m, m)))
+    waves = rng.integers(0, m, size=(n, 2))
+    xx, yy = lattice.meshes()
+    k = 2.0 * math.pi / box_length
+    wave = 1.0
+    for kx, ky in waves:
+        wave = np.multiply.outer(wave, np.exp(1j * k * (kx * xx + ky * yy)).ravel())
+    eigenvalue = sum(symbol[kx, ky] for kx, ky in waves)
+    assert np.linalg.norm((free.apply(wave) - eigenvalue * wave).ravel()) \
+        <= 1e-12 * infinity_norm(free) * np.linalg.norm(wave.ravel())
+
+    tables = (np.zeros((m, m)), np.zeros((m, m)))
+    with pytest.raises(ValueError, match="kinetic_symbol"):
+        DiscreteHamiltonian(lattice, n, rng.uniform(0.0, 10.0, size=(m, m)), *tables)
+    if m > 2:  # a separable symbol whose row part is not even
+        rows = rng.uniform(0.0, 10.0, size=m)
+        with pytest.raises(ValueError, match="kinetic_symbol"):
+            DiscreteHamiltonian(lattice, n, rows[:, None] + symbol[0][None, :], *tables)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_and_m=st.sampled_from([(n, m) for m in range(2, 9) for n in range(1, 4)
+                                if (m * m) ** n <= 1296]),
+       box_length=st.floats(1.0, 8.0),
+       dt=st.floats(1e-4, 0.5).flatmap(lambda v: st.sampled_from([v, -v])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fewbody_propagation_conserves_and_reverses(n_and_m, box_length, dt, seed):
+    """Dense and Chebyshev steps keep the norm and the energy over five
+    steps, the step -dt undoes the step dt, and the two methods agree.
+
+    Both methods carry a roundoff of about eps |dt| |H| in the phases, so
+    box lengths start at 1, where |dt| |H| stays below about 1000 (at 0.25
+    and dt 0.5 it reaches 10^4, and the two differ by 1.2e-12). Dimensions
+    stop at 1296, where the dense eigendecomposition still takes a fraction
+    of a second."""
+    n, m = n_and_m
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    hamiltonian = DiscreteHamiltonian(lattice, n, lattice.kinetic_symbol(),
+                                      rng.uniform(0.0, 10.0, size=(m, m)),
+                                      rng.uniform(-5.0, 5.0, size=(m, m)))
+    shape = (lattice.d,) * n
+    start = FewBodyState(lattice, rng.normal(size=shape)
+                         + 1j * rng.normal(size=shape)).normalized()
+    energy = energy_per_particle(start, hamiltonian)
+    distance = lambda a, b: FewBodyState(lattice, a.amplitudes - b.amplitudes).norm()
+    finals = []
+    for method in ("dense", "chebyshev"):
+        state = start
+        for _ in range(5):
+            state = propagate(state, hamiltonian, dt, method=method)
+            assert abs(state.norm() - 1.0) <= 1e-12
+            assert abs(energy_per_particle(state, hamiltonian) - energy) \
+                <= 1e-10 * max(1.0, abs(energy))
+        finals.append(state)
+        there = propagate(start, hamiltonian, dt, method=method)
+        assert distance(propagate(there, hamiltonian, -dt, method=method), start) <= 1e-12
+    assert distance(propagate(start, hamiltonian, dt, method="dense"),
+                    propagate(start, hamiltonian, dt, method="chebyshev")) <= 1e-12
 
 
 def kronecker_count_projections(p: np.ndarray, q: np.ndarray, n: int) -> list[np.ndarray]:
