@@ -25,14 +25,9 @@ from . import __version__
 from .diagnostics import (
     EFFECTIVE_COUPLING,
     CondensateProjector,
-    alpha_full,
     counting_weight,
-    gamma1,
-    mean_field_energy,
+    diagnostics_report,
     mean_field_step,
-    number_expectations,
-    trace_distance,
-    weight_expectation,
 )
 from .fewbody import (
     DIMENSION_BUDGET,
@@ -560,22 +555,14 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
 
     phi = _lattice_condensate(lattice).astype(np.complex128)
     state = jastrow_initial_state(phi, None, lattice, n)
-    weight = counting_weight(n, config.xi)
+    floor = counting_weight(n, config.xi).values[0]
 
     def sample(s: FewBodyState, phi_now: np.ndarray, t: float) -> tuple:
-        projector = CondensateProjector(lattice, phi_now)
-        m_expect = weight_expectation(s, projector, weight)
-        gap = abs(energy_per_particle(s, hamiltonian)
-                  - mean_field_energy(phi_now, lattice, coupling, field_table))
-        less = m_expect + gap
-        if micro is not None:
-            full = alpha_full(s, projector, interaction, micro, field, config.xi,
-                              hamiltonian).value
-        else:
-            full = less
-        numbers = number_expectations(s, projector)
-        dist = trace_distance(gamma1(s), projector)
-        return (t, less, full, dist, numbers.n_expect, gap), m_expect
+        report = diagnostics_report(s, CondensateProjector(lattice, phi_now), interaction,
+                                    coupling, field, micro, config.xi, hamiltonian)
+        full = report.alpha_less if report.alpha_full is None else report.alpha_full
+        return (t, report.alpha_less, full, report.trace_distance, report.n_expect,
+                report.energy_gap), report.m_expect
 
     n_steps = int(round(config.t_final / config.dt))
     sub_dt = config.dt / config.substeps
@@ -583,7 +570,7 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     rows = [row0]
     log.require_below("initial-trace-distance", row0[3], 1e-10)
     log.require_below("initial-alpha-floor",
-                      abs(row0[1] - weight.values[0] - row0[5]), 1e-12)
+                      abs(row0[1] - floor - row0[5]), 1e-12)
     log.require_below("initial-number-expectation", row0[4], 1e-12)
 
     for i in range(n_steps):
@@ -615,7 +602,7 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
         "coupling": coupling,
         "scaling": config.potential.scaling,
         "uses_correction": micro is not None,
-        "initial": {"alpha_less": alpha0, "weight_floor": weight.values[0],
+        "initial": {"alpha_less": alpha0, "weight_floor": floor,
                     "energy_gap": rows[0][5], "m_expect": m0},
         "gronwall": {"epsilon": epsilon, "alpha0": alpha0,
                      "C_envelope": c_envelope, "C_slope": c_slope,

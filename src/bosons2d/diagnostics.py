@@ -6,8 +6,10 @@ gives the distribution of the number of particles outside the reference
 field. Nonnegative weights of that count turn the distribution into
 counting functionals that, together with an energy gap and an optional
 short-range correlation correction, quantify how far the exact few-body
-dynamics strays from its mean-field surrogate. The module also provides
-the one-particle reduced density matrix and trace distance, an exact
+dynamics strays from its mean-field surrogate. `diagnostics_report`
+computes all of them for one snapshot from one count decomposition and one
+many-body energy; `alpha_less` and `alpha_full` read it. The module also
+provides the one-particle reduced density matrix and trace distance, an exact
 time-derivative identity relating the counting functional's rate to a
 commutator expectation, a seeded verification suite for the projector and
 weight operator algebra, and indicator diagnostics for close-encounter
@@ -234,12 +236,13 @@ def apply_weight(amplitudes: np.ndarray, projector: CondensateProjector,
     """Apply the weighted sum of count projections to raw amplitudes."""
     if weight.n_particles != amplitudes.ndim:
         raise ValueError("weight length must match the particle count")
-    parts = count_components(amplitudes, projector)
-    out = np.zeros_like(amplitudes)
-    for value, part in zip(weight.values, parts):
-        if value != 0.0:
-            out = out + value * part
-    return out
+    return _weighted_sum(weight.values, count_components(amplitudes, projector))
+
+
+def _weighted_sum(values: np.ndarray, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k w(k) C_k over count components C_k, skipping zero weights."""
+    return sum((value * part for value, part in zip(values, parts) if value != 0.0),
+               np.zeros_like(parts[0]))
 
 
 def apply_pair_table(amplitudes: np.ndarray, lattice: Lattice2D,
@@ -319,22 +322,29 @@ class NumberExpectations:
     n_square_from_gamma: float
 
 
-def _count_distribution(state: FewBodyState,
-                        projector: CondensateProjector) -> np.ndarray:
+def _count_distribution(state: FewBodyState, projector: CondensateProjector
+                        ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The count components C_k of the state and P(k) = <Psi, C_k>."""
+    if state.lattice != projector.lattice:
+        raise ValueError(f"state lives on {state.lattice} but the projector "
+                         f"on {projector.lattice}")
     parts = count_components(state.amplitudes, projector)
     cell_n = projector.cell ** state.n_particles
-    return np.array([float(np.real(np.vdot(state.amplitudes, part))) * cell_n
-                     for part in parts])
+    return parts, np.array([float(np.real(np.vdot(state.amplitudes, part))) * cell_n
+                            for part in parts])
+
+
+def _relative_moments(distribution: np.ndarray) -> tuple[float, float]:
+    """Distribution-weighted means of sqrt(k/N) and k/N."""
+    ratio = np.arange(distribution.size) / (distribution.size - 1)
+    return float(np.sum(np.sqrt(ratio) * distribution)), float(np.sum(ratio * distribution))
 
 
 def number_expectations(state: FewBodyState,
                         projector: CondensateProjector) -> NumberExpectations:
     """Count distribution P(k) plus first and second relative moments."""
-    n = state.n_particles
-    distribution = _count_distribution(state, projector)
-    k = np.arange(n + 1, dtype=float)
-    n_expect = float(np.sum(np.sqrt(k / n) * distribution))
-    n_square = float(np.sum((k / n) * distribution))
+    _, distribution = _count_distribution(state, projector)
+    n_expect, n_square = _relative_moments(distribution)
     gamma = gamma1(state)
     flat = projector.phi.ravel()
     occupied = float(np.real(np.vdot(flat, gamma @ flat))) * projector.cell
@@ -346,7 +356,7 @@ def weight_expectation(state: FewBodyState, projector: CondensateProjector,
     """Expectation of the weighted count operator."""
     if weight.n_particles != state.n_particles:
         raise ValueError("weight length must match the particle count")
-    distribution = _count_distribution(state, projector)
+    _, distribution = _count_distribution(state, projector)
     return float(np.sum(weight.values * distribution))
 
 
@@ -378,6 +388,15 @@ def energy_gap(state: FewBodyState, projector: CondensateProjector,
     term reads that Hamiltonian's field table, so both terms see one A;
     with field=None it takes no field.
     """
+    return _gap_at(state, projector, interaction, field, hamiltonian)(coupling)
+
+
+def _gap_at(state: FewBodyState, projector: CondensateProjector,
+            interaction: Callable[[np.ndarray], np.ndarray] | None,
+            field: ExternalField | None,
+            hamiltonian: DiscreteHamiltonian | None) -> Callable[[float], float]:
+    """`energy_gap` as a function of the mean-field coupling, from one
+    many-body energy."""
     if hamiltonian is None:
         hamiltonian = build_hamiltonian(state.lattice, state.n_particles,
                                         interaction, field, t=state.time)
@@ -386,8 +405,8 @@ def energy_gap(state: FewBodyState, projector: CondensateProjector,
         raise ValueError("state and Hamiltonian live on different spaces")
     many = energy_per_particle(state, hamiltonian)
     a_now = None if field is None else hamiltonian.external_field
-    one = mean_field_energy(projector.phi, state.lattice, coupling, a_now)
-    return abs(many - one)
+    return lambda coupling: abs(
+        many - mean_field_energy(projector.phi, state.lattice, coupling, a_now))
 
 
 def alpha_less(state: FewBodyState, projector: CondensateProjector,
@@ -395,9 +414,8 @@ def alpha_less(state: FewBodyState, projector: CondensateProjector,
                coupling: float = 0.0, field: ExternalField | None = None,
                xi: float = 0.25) -> float:
     """Counting functional: weighted out-of-reference count plus energy gap."""
-    weight = counting_weight(state.n_particles, xi)
-    return (weight_expectation(state, projector, weight)
-            + energy_gap(state, projector, interaction, coupling, field))
+    return diagnostics_report(state, projector, interaction, coupling, field,
+                              xi=xi).alpha_less
 
 
 def _projected_pair_terms(state: FewBodyState, projector: CondensateProjector
@@ -411,17 +429,18 @@ def _projected_pair_terms(state: FewBodyState, projector: CondensateProjector
     return pp, pq, qp
 
 
-def _apply_pair_weighted(state: FewBodyState, projector: CondensateProjector,
-                         xi: float) -> np.ndarray:
-    """The correlation-weighted projection combination acting on the state:
-    two-step count difference on the doubly-projected part, one-step
-    difference on each singly-projected part."""
-    n = state.n_particles
-    w_one = counting_difference(n, 1, xi)
-    w_two = counting_difference(n, 2, xi)
-    pp, pq, qp = _projected_pair_terms(state, projector)
-    return (apply_weight(pp, projector, w_two)
-            + apply_weight(pq + qp, projector, w_one))
+def _apply_pair_weighted(parts: Sequence[np.ndarray],
+                         projector: CondensateProjector, xi: float) -> np.ndarray:
+    """The correlation-weighted projection combination on the state whose
+    count components are parts: the two-step count difference on p1 p2 Psi,
+    the one-step one on (p1 q2 + q1 p2) Psi = (p1 + p2 - 2 p1 p2) Psi. Every
+    P_k commutes with every p_j, so the weights act first, as the sums
+    chi_w = sum_k w(k) C_k."""
+    n = len(parts) - 1
+    chi_one = _weighted_sum(counting_difference(n, 1, xi).values, parts)
+    chi_two = _weighted_sum(counting_difference(n, 2, xi).values, parts)
+    p = projector.apply_p
+    return p(p(chi_two - 2.0 * chi_one, 0), 1) + p(chi_one, 0) + p(chi_one, 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -449,30 +468,13 @@ def alpha_full(state: FewBodyState, projector: CondensateProjector,
 
     micro supplies the depletion profile g = 1 - f of the softened pair
     construction; the effective mean-field coupling is fixed at 4*pi by
-    the scattering normalization of that scaling. hamiltonian, when given,
-    is passed on to `energy_gap` instead of building one per call.
+    the scattering normalization of that scaling. The result is read from
+    `diagnostics_report` at that coupling, under hamiltonian when given.
     """
-    n = state.n_particles
-    if n < 2:
-        raise ValueError("need at least two particles for the pair correction")
-    weight = counting_weight(n, xi)
-    m_expect = weight_expectation(state, projector, weight)
-    gap = energy_gap(state, projector, interaction, EFFECTIVE_COUPLING, field,
-                     hamiltonian)
-    lattice = state.lattice
-    resolvable = (not getattr(micro, "degenerate", False)
-                  and micro.R_beta >= lattice.spacing)
-    if not resolvable:
-        return AlphaFullResult(m_expect + gap, m_expect, gap, 0.0, False)
-    g_table = micro.g_evaluate(lattice.minimum_image_distances().ravel()
-                               ).reshape(lattice.m, lattice.m)
-    weighted = _apply_pair_weighted(state, projector, xi)
-    overlap = np.vdot(state.amplitudes,
-                      apply_pair_table(weighted, lattice, g_table))
-    cell_n = projector.cell ** n
-    correction = -n * (n - 1) * float(np.real(overlap)) * cell_n
-    return AlphaFullResult(m_expect + gap + correction, m_expect, gap,
-                           correction, True)
+    report = diagnostics_report(state, projector, interaction, EFFECTIVE_COUPLING,
+                                field, micro, xi, hamiltonian)
+    return AlphaFullResult(report.alpha_full, report.m_expect, report.energy_gap,
+                           report.correction_term, report.used_correction)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -490,49 +492,50 @@ class DiagnosticsReport:
     used_correction: bool
 
     def to_json(self) -> str:
-        payload = {
-            "gamma1": {"real": np.real(self.gamma1).tolist(),
-                       "imag": np.imag(self.gamma1).tolist()},
-            "trace_distance": self.trace_distance,
-            "n_expect": self.n_expect,
-            "n_square": self.n_square,
-            "m_expect": self.m_expect,
-            "energy_gap": self.energy_gap,
-            "alpha_less": self.alpha_less,
-            "alpha_full": self.alpha_full,
-            "correction_term": self.correction_term,
-            "used_correction": self.used_correction,
-        }
+        payload = dataclasses.asdict(self)
+        payload["gamma1"] = {"real": np.real(self.gamma1).tolist(),
+                             "imag": np.imag(self.gamma1).tolist()}
         return json.dumps(payload)
 
 
 def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
                        interaction: Callable[[np.ndarray], np.ndarray] | None = None,
                        coupling: float = 0.0, field: ExternalField | None = None,
-                       micro=None, xi: float = 0.25) -> DiagnosticsReport:
-    """Assemble the full diagnostics bundle for one state snapshot.
+                       micro=None, xi: float = 0.25,
+                       hamiltonian: DiscreteHamiltonian | None = None) -> DiagnosticsReport:
+    """All condensation diagnostics of one state snapshot, in one pass.
 
-    With micro given, the correlation-corrected functional is evaluated at
-    the fixed effective coupling of the exponential scaling; the plain
-    counting functional always uses the supplied coupling.
+    One count decomposition gives the count distribution and the correction's
+    pair-weighted vector; one many-body energy, under hamiltonian or one
+    built as in `energy_gap`, serves every gap. The plain counting functional
+    uses the supplied coupling. With micro given, the correlation-corrected
+    functional is evaluated at the fixed effective coupling of the
+    exponential scaling; the correction is dropped when the lattice cannot
+    resolve the depletion profile.
     """
+    n = state.n_particles
+    if micro is not None and n < 2:
+        raise ValueError("need at least two particles for the pair correction")
+    parts, distribution = _count_distribution(state, projector)
+    n_expect, n_square = _relative_moments(distribution)
+    m_expect = float(np.sum(counting_weight(n, xi).values * distribution))
+    gap_at = _gap_at(state, projector, interaction, field, hamiltonian)
+    gap = gap_at(coupling)
     gamma = gamma1(state)
-    distance = trace_distance(gamma, projector)
-    numbers = number_expectations(state, projector)
-    weight = counting_weight(state.n_particles, xi)
-    m_expect = weight_expectation(state, projector, weight)
-    gap = energy_gap(state, projector, interaction, coupling, field)
-    less = m_expect + gap
-    full: float | None = None
-    correction = 0.0
-    used = False
+    full, correction, used = None, 0.0, False
     if micro is not None:
-        result = alpha_full(state, projector, interaction, micro, field, xi)
-        full = result.value
-        correction = result.correction_term
-        used = result.used_correction
-    return DiagnosticsReport(gamma, distance, numbers.n_expect,
-                             numbers.n_square, m_expect, gap, less, full,
+        lattice = state.lattice
+        used = bool(not getattr(micro, "degenerate", False)
+                    and micro.R_beta >= lattice.spacing)
+        if used:
+            g_table = micro.g_evaluate(lattice.minimum_image_distances().ravel()
+                                       ).reshape(lattice.m, lattice.m)
+            overlap = np.vdot(state.amplitudes, apply_pair_table(
+                _apply_pair_weighted(parts, projector, xi), lattice, g_table))
+            correction = -n * (n - 1) * float(np.real(overlap)) * projector.cell ** n
+        full = m_expect + gap_at(EFFECTIVE_COUPLING) + correction
+    return DiagnosticsReport(gamma, trace_distance(gamma, projector), n_expect,
+                             n_square, m_expect, gap, m_expect + gap, full,
                              correction, used)
 
 
@@ -603,11 +606,12 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
                 - strength * apply_mean_part(amplitudes))
 
     amps = state.amplitudes
-    weighted = apply_weight(amps, projector, weight)
+    parts = count_components(amps, projector)
+    weighted = _weighted_sum(weight.values, parts)
     commutator = -n * (n - 1) * float(np.imag(
         np.vdot(amps, apply_gap_operator(weighted)))) * cell_n
 
-    projected_vec = _apply_pair_weighted(state, projector, xi)
+    projected_vec = _apply_pair_weighted(parts, projector, xi)
     projected = -n * (n - 1) * float(np.imag(
         np.vdot(amps, apply_gap_operator(projected_vec)))) * cell_n
 

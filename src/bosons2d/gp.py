@@ -382,7 +382,7 @@ def _write_tensor(path: str, amplitudes: np.ndarray, sidecar: dict) -> None:
     """Raw little-endian C-order samples at path, the sidecar at path + '.json'."""
     amplitudes.astype(_CHECKPOINT_CODES[sidecar["dtype"]]).tofile(path)
     with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump({**sidecar, "format_version": 1}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -398,6 +398,9 @@ def _read_tensor(path: str, shape_of: Callable[[dict], tuple[int, ...]]
     order = sidecar.get("order", "C")
     if order != "C":
         raise ValueError(f"checkpoint sidecar field 'order' must be 'C', got {order!r}")
+    version = sidecar.get("format_version", 1)
+    if type(version) is not int or version != 1:
+        raise ValueError(f"checkpoint sidecar field 'format_version' must be 1, got {version!r}")
     shape = shape_of(sidecar)
     raw = np.fromfile(path, dtype=_CHECKPOINT_CODES[dtype])
     if raw.size != math.prod(shape):

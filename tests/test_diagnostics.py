@@ -551,6 +551,20 @@ def test_diagnostics_report_bundle_and_json():
     assert report2.alpha_full is not None
 
 
+def test_projector_on_another_lattice_is_rejected_by_name():
+    """Same m, other box: mixing the two spacings silently would make the
+    count distribution sum to 16 and put a weight bounded by 1 at 15.4."""
+    state = random_symmetric_state(Lattice2D(4, 1.0), 2, seed=5)
+    wide = Lattice2D(4, 2.0)
+    proj = CondensateProjector(wide, lattice_field(wide))
+    message = r"Lattice2D\(m=4, box_length=1\.0\).*Lattice2D\(m=4, box_length=2\.0\)"
+    for diagnose in (lambda: number_expectations(state, proj),
+                     lambda: weight_expectation(state, proj, counting_weight(2)),
+                     lambda: diagnostics_report(state, proj)):
+        with pytest.raises(ValueError, match=message):
+            diagnose()
+
+
 # ----------------------------------------------------- depletion implications
 
 

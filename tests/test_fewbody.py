@@ -381,7 +381,8 @@ def test_recorder_and_checkpoint(tmp_path):
         read_fewbody_checkpoint(bad)
 
 
-@pytest.mark.parametrize("field, value", [("dtype", "float32"), ("order", "F")])
+@pytest.mark.parametrize("field, value", [("dtype", "float32"), ("order", "F"),
+                                          ("format_version", 2)])
 def test_checkpoint_reader_rejects_bad_sidecar(tmp_path, field, value):
     import json
     lat = Lattice2D(3, 1.0)

@@ -361,7 +361,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("dtype", "float64"), ("dtype", None),
-                                          ("order", "F")])
+                                          ("order", "F"), ("format_version", 2)])
 def test_checkpoint_reader_rejects_bad_sidecar(tmp_path, field, value):
     grid = Grid2D(8, 1.0)
     path = str(tmp_path / "state.bin")
@@ -373,3 +373,19 @@ def test_checkpoint_reader_rejects_bad_sidecar(tmp_path, field, value):
         json.dump(sidecar, fh)
     with pytest.raises(ValueError, match=f"'{field}'"):
         read_checkpoint(path)
+
+
+def test_checkpoint_sidecar_carries_format_version_one(tmp_path):
+    """The writer stamps version 1; a sidecar written before the field
+    existed (no format_version, no order) reads as version 1."""
+    grid = Grid2D(8, 1.0)
+    path = str(tmp_path / "state.bin")
+    state = GpState(grid, np.ones((8, 8), dtype=complex))
+    write_checkpoint(state, path)
+    with open(path + ".json", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    assert sidecar["format_version"] == 1
+    del sidecar["format_version"], sidecar["order"]
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+    assert np.array_equal(read_checkpoint(path)[0].amplitudes, state.amplitudes)

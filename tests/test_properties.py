@@ -9,6 +9,7 @@ import math
 import os
 import tempfile
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,19 +18,28 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import i0, i1
 
+from bosons2d import diagnostics
 from bosons2d.cli import SCENARIOS, canonical_dict, config_hash, load_config
 from bosons2d.diagnostics import (
+    EFFECTIVE_COUPLING,
     CondensateProjector,
     WeightFunction,
+    apply_pair_table,
     apply_weight,
     count_components,
+    counting_difference,
+    counting_weight,
+    diagnostics_report,
+    gamma1,
     mean_field_energy,
     mean_field_step,
+    trace_distance,
 )
 from bosons2d.fewbody import (
     DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
+    build_hamiltonian,
     dense_matrix,
     energy_per_particle,
     propagate,
@@ -527,6 +537,128 @@ def test_count_algebra_matches_kronecker_oracle(n_and_m, box_length, seed):
     p_first = np.kron(projector.p_matrix, np.eye(d ** (n - 1)))
     assert (np.linalg.norm(weighted @ p_first - p_first @ weighted)
             <= 1e-12 * np.linalg.norm(weighted))
+
+
+
+def per_function_report(state: FewBodyState, projector: CondensateProjector, interaction,
+                        coupling: float, field, micro, xi: float) -> dict:
+    """The snapshot as separate calls compose it: the count distribution
+    from its own count_components pass, a Hamiltonian built for each energy
+    gap, and the correction vector as apply_weight on p1 p2 Psi and on
+    (p1 q2 + q1 p2) Psi, each with a fresh count_components pass."""
+    n, lattice, amps = state.n_particles, state.lattice, state.amplitudes
+    cell_n = projector.cell ** n
+    distribution = np.array([float(np.real(np.vdot(amps, part))) * cell_n
+                             for part in count_components(amps, projector)])
+    k = np.arange(n + 1) / n
+
+    def gap(c: float) -> float:
+        hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=state.time)
+        a_now = None if field is None else hamiltonian.external_field
+        return abs(energy_per_particle(state, hamiltonian)
+                   - mean_field_energy(projector.phi, lattice, c, a_now))
+
+    m_expect = float(np.sum(counting_weight(n, xi).values * distribution))
+    gamma = gamma1(state)
+    out = {"gamma1": gamma, "trace_distance": trace_distance(gamma, projector),
+           "n_expect": float(np.sum(np.sqrt(k) * distribution)),
+           "n_square": float(np.sum(k * distribution)), "m_expect": m_expect,
+           "energy_gap": gap(coupling), "alpha_less": m_expect + gap(coupling),
+           "alpha_full": None, "correction_term": 0.0, "used_correction": False}
+    if micro is None:
+        return out
+    correction, used = 0.0, micro.R_beta >= lattice.spacing
+    if used:
+        p0 = projector.apply_p(amps, 0)
+        pp = projector.apply_p(p0, 1)
+        pq, qp = p0 - pp, projector.apply_p(amps, 1) - pp
+        weighted = (apply_weight(pp, projector, counting_difference(n, 2, xi))
+                    + apply_weight(pq + qp, projector, counting_difference(n, 1, xi)))
+        g_table = micro.g_evaluate(lattice.minimum_image_distances().ravel()
+                                   ).reshape(lattice.m, lattice.m)
+        overlap = np.vdot(amps, apply_pair_table(weighted, lattice, g_table))
+        correction = -n * (n - 1) * float(np.real(overlap)) * cell_n
+    return {**out, "alpha_full": m_expect + gap(EFFECTIVE_COUPLING) + correction,
+            "correction_term": correction, "used_correction": used}
+
+
+def symmetric_state(rng: np.random.Generator, lattice: Lattice2D, n: int) -> FewBodyState:
+    raw = rng.normal(size=(lattice.d,) * n) + 1j * rng.normal(size=(lattice.d,) * n)
+    return FewBodyState(lattice, sum(np.transpose(raw, order)
+                                     for order in itertools.permutations(range(n)))
+                        ).normalized()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_and_m=st.sampled_from([(n, m) for m in range(2, 6) for n in range(2, 5)
+                                if (m * m) ** n <= 4096]),
+       box_length=st.floats(0.5, 4.0),
+       coupling=st.floats(0.0, 30.0),
+       core=st.floats(0.0, 1.0),
+       with_field=st.booleans(),
+       with_micro=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_snapshot_report_matches_the_per_function_composition(
+        n_and_m, box_length, coupling, core, with_field, with_micro, seed):
+    """Every field of diagnostics_report, with and without a resolvable
+    depletion core, matches the per-function oracle to 1e-13 on random
+    exchange-symmetric states."""
+    n, m = n_and_m
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    projector = CondensateProjector(lattice, random_field(rng, lattice))
+    state = symmetric_state(rng, lattice, n)
+    height, width, amplitude = rng.uniform(0.5, 5.0), rng.uniform(0.1, 0.5), rng.uniform(-2, 2)
+    interaction = lambda r: height * np.exp(-(r / (width * box_length)) ** 2)
+    field = (ExternalField.from_function(
+        lambda x, y, t: amplitude * np.cos(2 * math.pi * x / box_length))
+        if with_field else None)
+    micro = (SimpleNamespace(R_beta=core * box_length, degenerate=False,
+                             g_evaluate=lambda r: np.exp(-np.asarray(r) / (width * box_length)))
+             if with_micro else None)
+    xi = 0.25
+    report = diagnostics_report(state, projector, interaction, coupling, field, micro, xi)
+    expected = per_function_report(state, projector, interaction, coupling, field, micro, xi)
+    assert np.max(np.abs(report.gamma1 - expected.pop("gamma1"))) <= 1e-13
+    for name, value in expected.items():
+        got = getattr(report, name)
+        if value is None or isinstance(value, bool):
+            assert got == value, name
+        else:
+            assert got == pytest.approx(value, rel=1e-13, abs=1e-13), name
+
+
+def test_snapshot_report_runs_one_count_pass_and_one_energy(monkeypatch):
+    """One report runs count_components once, energy_per_particle once,
+    builds one Hamiltonian when none is given (none when one is) and samples
+    the depletion profile once, with the correction in use."""
+    calls = {"count_components": 0, "energy_per_particle": 0, "build_hamiltonian": 0,
+             "g_evaluate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("count_components", "energy_per_particle", "build_hamiltonian"):
+        monkeypatch.setattr(diagnostics, name, counted(name, getattr(diagnostics, name)))
+    lattice = Lattice2D(4, 1.0)
+    rng = np.random.default_rng(3)
+    projector = CondensateProjector(lattice, random_field(rng, lattice))
+    state = symmetric_state(rng, lattice, 3)
+    micro = SimpleNamespace(R_beta=0.5, degenerate=False,
+                            g_evaluate=counted("g_evaluate", lambda r: np.exp(-np.asarray(r))))
+    interaction = lambda r: 2.0 * np.exp(-(r / 0.3) ** 2)
+    report = diagnostics_report(state, projector, interaction, 1.0, None, micro)
+    assert report.used_correction
+    assert calls == {"count_components": 1, "energy_per_particle": 1, "build_hamiltonian": 1,
+                     "g_evaluate": 1}
+    hamiltonian = build_hamiltonian(lattice, 3, interaction)
+    calls.update(dict.fromkeys(calls, 0))
+    diagnostics_report(state, projector, interaction, 1.0, None, micro, hamiltonian=hamiltonian)
+    assert calls == {"count_components": 1, "energy_per_particle": 1, "build_hamiltonian": 0,
+                     "g_evaluate": 1}
 
 
 @settings(max_examples=30, deadline=None)
