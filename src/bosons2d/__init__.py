@@ -5,7 +5,8 @@ construction (scattering), scaled potential families and log-smeared
 comparisons (potentials), mean-field propagation on a periodic grid (gp),
 exact few-boson lattice dynamics (fewbody), and condensation-counting
 diagnostics tying them together (diagnostics). The cli module exposes each
-layer as a reproducible experiment.
+layer as a reproducible experiment. The exported names are the ones the
+scenarios, the acceptance criteria and the benchmark use.
 """
 
 __version__ = "0.1.0"
@@ -41,7 +42,6 @@ from .gp import (
     gp_energy,
     ground_state,
     propagate as gp_propagate,
-    spectral_tail_fraction,
 )
 from .fewbody import (
     DiscreteHamiltonian,
@@ -55,7 +55,6 @@ from .fewbody import (
 from .diagnostics import (
     AlphaFullResult,
     CondensateProjector,
-    CutoffReport,
     DiagnosticsReport,
     NumberExpectations,
     OperatorAlgebraReport,
@@ -65,7 +64,6 @@ from .diagnostics import (
     alpha_less,
     counting_difference,
     counting_weight,
-    cutoff_indicators,
     ddt_weight_identity,
     diagnostics_report,
     gamma1,
@@ -112,7 +110,6 @@ __all__ = [
     "gp_energy",
     "ground_state",
     "gp_propagate",
-    "spectral_tail_fraction",
     "DiscreteHamiltonian",
     "FewBodyState",
     "Lattice2D",
@@ -122,7 +119,6 @@ __all__ = [
     "fewbody_propagate",
     "AlphaFullResult",
     "CondensateProjector",
-    "CutoffReport",
     "DiagnosticsReport",
     "NumberExpectations",
     "OperatorAlgebraReport",
@@ -132,7 +128,6 @@ __all__ = [
     "alpha_less",
     "counting_difference",
     "counting_weight",
-    "cutoff_indicators",
     "ddt_weight_identity",
     "diagnostics_report",
     "gamma1",

@@ -58,15 +58,33 @@ POTENTIAL_FAMILIES = ("square_well",)
 SCALING_FAMILIES = ("W_beta", "V_N", "M_beta")
 
 
-def _coerce_floats(spec: Any, path: str = "") -> None:
-    """Store every float field as a float, so 1 and 1.0 give one config hash."""
+def _integer(value: Any, name: str) -> int:
+    """An int, or a float with an integral value; a bool, a string or any
+    other number is rejected rather than truncated."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _coerce_numbers(spec: Any, path: str = "") -> None:
+    """Store every float field as a float and every integer field and
+    n_values entry as an int, so 1 and 1.0 (or 6 and 6.0) give one config
+    hash."""
     for field in dataclasses.fields(spec):
-        if field.type not in ("float", float):
-            continue
         value = getattr(spec, field.name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{path}{field.name}: must be a number, got {value!r}")
-        object.__setattr__(spec, field.name, float(value))
+        name = f"{path}{field.name}"
+        if field.type in ("float", float):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}: must be a number, got {value!r}")
+            value = float(value)
+        elif field.type in ("int", int):
+            value = _integer(value, name)
+        elif field.type == "tuple[int, ...]":
+            value = tuple(_integer(n, f"{name}[{i}]") for i, n in enumerate(value))
+        else:
+            continue
+        object.__setattr__(spec, field.name, value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +96,7 @@ class PotentialSpec:
     scaling: str = "W_beta"
 
     def __post_init__(self) -> None:
-        _coerce_floats(self, "potential.")
+        _coerce_numbers(self, "potential.")
         if self.family not in POTENTIAL_FAMILIES:
             raise ValueError(f"potential.family: unknown family {self.family!r}")
         if not (self.height > 0 and math.isfinite(self.height)):
@@ -113,14 +131,12 @@ class ExperimentConfig:
     field_amplitude: float = 0.0
     out_dir: str = "runs"
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario: unknown scenario {self.scenario!r}")
-        _coerce_floats(self)
-        values = tuple(int(n) for n in self.n_values)
-        object.__setattr__(self, "n_values", values)
+        _coerce_numbers(self)
+        values = self.n_values
         if not values:
             raise ValueError("n_values: must name at least one particle number")
         if any(n < 1 for n in values):
@@ -143,12 +159,10 @@ class ExperimentConfig:
             raise ValueError("s: must be positive and finite")
         if not math.isfinite(self.coupling):
             raise ValueError("coupling: must be finite")
-        n = int(self.grid_points)
-        object.__setattr__(self, "grid_points", n)
+        n = self.grid_points
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError("grid_points: must be a power of two, at least 4")
-        m = int(self.lattice_points)
-        object.__setattr__(self, "lattice_points", m)
+        m = self.lattice_points
         if m < 2:
             raise ValueError("lattice_points: must be at least 2")
         if self.scenario in ("fewbody", "compare") and m ** (2 * values[0]) > DIMENSION_BUDGET:
@@ -163,17 +177,12 @@ class ExperimentConfig:
             raise ValueError("t_final: must be positive and finite")
         if not (0 < self.dt <= self.t_final):
             raise ValueError("dt: must lie in (0, t_final]")
-        object.__setattr__(self, "substeps", int(self.substeps))
         if self.substeps < 1:
             raise ValueError("substeps: must be at least 1")
         if not math.isfinite(self.field_amplitude):
             raise ValueError("field_amplitude: must be finite")
-        object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ValueError("seed: must be nonnegative")
-        object.__setattr__(self, "threads", int(self.threads))
-        if self.threads < 1:
-            raise ValueError("threads: must be at least 1")
 
 
 SCENARIO_DEFAULTS: dict[str, dict[str, Any]] = {
@@ -221,13 +230,12 @@ def canonical_dict(config: ExperimentConfig) -> dict[str, Any]:
 def config_hash(config: ExperimentConfig) -> str:
     """Hash of the canonical JSON form; every derived seed comes from this.
 
-    Output location and worker count are execution details that cannot alter
-    any number, so they stay out of the hash: the same physics inputs give
-    the same run identity wherever and however it executes.
+    The output location is an execution detail that cannot alter any
+    number, so it stays out of the hash: the same physics inputs give the
+    same run identity wherever the run writes.
     """
     payload = canonical_dict(config)
     payload.pop("out_dir")
-    payload.pop("threads")
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -471,7 +479,7 @@ def _run_gp(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> dict[
     grid = Grid2D(config.grid_points, config.box_length)
     state = _smooth_initial_field(grid, derived_rng(config))
     field = _cosine_field(config.field_amplitude, config.box_length) or ExternalField.zero()
-    params = GpParams(coupling=config.coupling, dt=config.dt, workers=config.threads)
+    params = GpParams(coupling=config.coupling, dt=config.dt)
 
     n_steps = int(round(config.t_final / config.dt))
     stride = max(1, n_steps // 200)
@@ -670,8 +678,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file of config overrides")
         p.add_argument("--out", type=str, default=None, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="base seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="FFT worker threads of the gp scenario")
     return parser
 
 
@@ -688,8 +694,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             overrides["out_dir"] = args.out
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         config = load_config(args.scenario, data, overrides)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ computes all of them for one snapshot from one count decomposition and one
 many-body energy; `alpha_less` and `alpha_full` read it. The module also
 provides the one-particle reduced density matrix and trace distance, an exact
 time-derivative identity relating the counting functional's rate to a
-commutator expectation, a seeded verification suite for the projector and
-weight operator algebra, and indicator diagnostics for close-encounter
-regions of configuration space.
+commutator expectation, and a seeded verification suite for the projector
+and weight operator algebra. `dense_operator` is re-exported from `fewbody`
+because the benchmark's tracer wraps it by name on this module.
 
 All operators act on the same periodic lattice as the exact propagator, so
 every identity that is pure projector algebra holds to roundoff here, not
@@ -31,7 +31,6 @@ import numpy as np
 import scipy.fft
 
 from .fewbody import (
-    DIMENSION_BUDGET,
     DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
@@ -58,7 +57,6 @@ __all__ = [
     "dense_operator",
     "gamma1",
     "trace_distance",
-    "condensate_distance_bound",
     "NumberExpectations",
     "number_expectations",
     "weight_expectation",
@@ -75,8 +73,6 @@ __all__ = [
     "CheckResult",
     "OperatorAlgebraReport",
     "operator_algebra_suite",
-    "CutoffReport",
-    "cutoff_indicators",
 ]
 
 EFFECTIVE_COUPLING = 4.0 * math.pi
@@ -296,16 +292,6 @@ def trace_distance(gamma: np.ndarray, projector: CondensateProjector) -> float:
     """Half the absolute-eigenvalue sum of gamma minus the rank-one reference."""
     eigenvalues = np.linalg.eigvalsh(gamma - projector.p_matrix)
     return 0.5 * float(np.sum(np.abs(eigenvalues)))
-
-
-def condensate_distance_bound(n_square: float) -> float:
-    """Monotone bound on the trace distance in terms of the depleted fraction.
-
-    With u = 1 - <reference|gamma|reference>, block-decomposing gamma over
-    the reference direction gives trace distance <= u + sqrt(u).
-    """
-    u = max(float(n_square), 0.0)
-    return u + math.sqrt(u)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -948,117 +934,3 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
                     - mhat(blocks[1](f_pair(block_alt[0](probe))))))
 
     return OperatorAlgebraReport(n, lattice.m, int(seed), tuple(checks))
-
-
-@dataclasses.dataclass(frozen=True)
-class CutoffReport:
-    """Norm diagnostics for the close-encounter indicator sets.
-
-    The lattice bounds use the discrete disc area (cell area times the
-    number of displacements inside the threshold) and hold exactly; the
-    disc bounds use the continuum area form and are meaningful once the
-    threshold is resolved, i.e. exceeds the lattice spacing. When it does
-    not, only coincidence cells fall inside the threshold and resolved is
-    False.
-    """
-    n_particles: int
-    d_exponent: float
-    threshold: float
-    resolved: bool
-    discrete_disc_area: float
-    continuum_disc_area: float
-    pair_projector_norm: float
-    pair_projector_bound: float
-    pair_projector_disc_bound: float
-    union_projector_norm: float
-    union_projector_bound: float
-    commutator_norm: float
-    commutator_bound: float
-    commutator_disc_bound: float
-    state_union_mass: float | None
-    state_triple_mass: float | None
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
-
-
-def cutoff_indicators(lattice: Lattice2D, n_particles: int, d_exponent: float,
-                      projector: CondensateProjector,
-                      state: FewBodyState | None = None) -> CutoffReport:
-    """Build the indicator diagnostics for pair separations below N^-d.
-
-    The pair indicator marks configurations where two given particles come
-    closer than the threshold (coincidence cells always qualify); the
-    union indicator marks the first particle being close to any other, and
-    the triple indicator any close pair among the others. Reported norms
-    are exact on the lattice: the projector collapses them to density
-    sums over the indicator, and the commutator block-diagonalizes over
-    the partner site.
-    """
-    n = int(n_particles)
-    if n < 2:
-        raise ValueError("indicator diagnostics need at least 2 particles")
-    if lattice.d ** n > DIMENSION_BUDGET:
-        raise ValueError(
-            f"indicator tables of dimension {lattice.d ** n} exceed budget {DIMENSION_BUDGET}")
-    if lattice != projector.lattice:
-        raise ValueError("projector must live on the given lattice")
-    threshold = float(n) ** (-float(d_exponent))
-    cell = lattice.spacing ** 2
-    d = lattice.d
-    distances = lattice.minimum_image_distances()
-    inside_disp = distances < threshold
-    discrete_area = cell * float(np.sum(inside_disp))
-    continuum_area = math.pi * threshold ** 2
-    resolved = threshold > lattice.spacing
-
-    pair_site = _pair_site_table(lattice.m, inside_disp.astype(float))
-    density = np.abs(projector.phi.ravel()) ** 2
-    phi_inf = float(np.max(np.abs(projector.phi)))
-
-    # ||1_pair p_1||: block diagonal over the partner site, each block a
-    # rank-one projection cut to the disc around that site.
-    disc_mass = cell * (pair_site.T @ density)
-    pair_norm = math.sqrt(float(np.max(disc_mass)))
-    pair_bound = phi_inf * math.sqrt(discrete_area)
-    pair_disc_bound = phi_inf * math.sqrt(continuum_area)
-
-    # Union over partners for particle 0, on the full configuration space.
-    close = pair_site.astype(bool)
-    complement = np.ones((d,) * n, dtype=bool)
-    for partner in range(1, n):
-        complement &= ~_on_particles(close, (0, partner), n)
-    union = ~complement
-    union_mass = cell * np.tensordot(density, union.astype(float),
-                                     axes=([0], [0]))
-    union_norm = math.sqrt(float(np.max(union_mass)))
-    union_bound = phi_inf * math.sqrt((n - 1) * discrete_area)
-
-    # Commutator with the partner projector, exact blockwise spectral norm.
-    p_single = projector.p_matrix
-    commutator_norm = 0.0
-    for site in range(d):
-        block_indicator = np.diag(pair_site[site, :])
-        block = block_indicator @ p_single - p_single @ block_indicator
-        commutator_norm = max(commutator_norm,
-                              float(np.linalg.norm(block, 2)))
-    commutator_bound = 2.0 * phi_inf * math.sqrt(discrete_area)
-    commutator_disc_bound = 2.0 * phi_inf * threshold
-
-    state_union = None
-    state_triple = None
-    if state is not None:
-        if state.lattice != lattice or state.n_particles != n:
-            raise ValueError("state must match the lattice and particle count")
-        weights = np.abs(state.amplitudes) ** 2
-        state_union = math.sqrt(float(np.sum(weights[union])) * cell ** n)
-        triple = np.zeros((d,) * n, dtype=bool)
-        for a, b in itertools.combinations(range(1, n), 2):
-            triple |= _on_particles(close, (a, b), n)
-        state_triple = math.sqrt(float(np.sum(weights[triple])) * cell ** n)
-
-    return CutoffReport(n, float(d_exponent), threshold, resolved,
-                        discrete_area, continuum_area, pair_norm, pair_bound,
-                        pair_disc_bound, union_norm, union_bound,
-                        commutator_norm, commutator_bound,
-                        commutator_disc_bound, state_union, state_triple)

@@ -25,13 +25,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
 import scipy.special
 
-from .gp import ExternalField, Lattice2D, _csv_recorder, _read_tensor, _write_tensor
+from .gp import ExternalField, Lattice2D, _read_tensor, _write_tensor
 
 __all__ = [
     "Lattice2D",
@@ -42,10 +42,8 @@ __all__ = [
     "propagate",
     "energy_per_particle",
     "jastrow_initial_state",
-    "hermiticity_defect",
     "dense_operator",
     "dense_matrix",
-    "fewbody_recorder",
     "write_fewbody_checkpoint",
     "read_fewbody_checkpoint",
 ]
@@ -203,9 +201,6 @@ def build_hamiltonian(lattice: Lattice2D, n_particles: int,
     spacing is kept but flagged, since the lattice then sees only its value
     at zero displacement.
     """
-    dim = lattice.d ** n_particles
-    if dim > DIMENSION_BUDGET:
-        raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")
     if interaction is None:
         table = np.zeros((lattice.m, lattice.m))
     else:
@@ -223,27 +218,14 @@ def build_hamiltonian(lattice: Lattice2D, n_particles: int,
                                a_now, time=t)
 
 
-def hermiticity_defect(hamiltonian: DiscreteHamiltonian, n_pairs: int = 20,
-                       seed: int = 0) -> float:
-    """Max |<Hx, y> - <x, Hy>| over random normalized pairs."""
-    rng = np.random.default_rng(seed)
-    dim = hamiltonian.lattice.d ** hamiltonian.n_particles
-    worst = 0.0
-    for _ in range(n_pairs):
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        shape = (hamiltonian.lattice.d,) * hamiltonian.n_particles
-        hx = hamiltonian.apply(x.reshape(shape)).ravel()
-        hy = hamiltonian.apply(y.reshape(shape)).ravel()
-        worst = max(worst, abs(np.vdot(hx, y) - np.vdot(x, hy)))
-    return worst
-
-
 def dense_operator(apply_fn: Callable[[np.ndarray], np.ndarray],
                    lattice: Lattice2D, n_particles: int) -> np.ndarray:
-    """Dense matrix of a linear operator given by its tensor action."""
+    """Dense matrix of a linear operator given by its tensor action.
+
+    No scenario calls it; it stays public because the benchmark's tracer
+    binds it by name as `diagnostics.dense_operator`, and the tests use it
+    as a column-by-column oracle for matrix-free actions.
+    """
     dim = lattice.d ** n_particles
     shape = (lattice.d,) * n_particles
     basis = np.eye(dim, dtype=np.complex128)
@@ -397,6 +379,8 @@ def jastrow_initial_state(phi: np.ndarray, pair, lattice: Lattice2D,
     below the lattice spacing cannot be represented and degenerates to the
     pure product state, with a warning.
     """
+    if n_particles < 1:
+        raise ValueError(f"n_particles must be at least 1, got {n_particles}")
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (lattice.m, lattice.m):
         raise ValueError("phi must be sampled on the lattice")
@@ -424,15 +408,6 @@ def jastrow_initial_state(phi: np.ndarray, pair, lattice: Lattice2D,
                     amp = amp * _on_particles(pair_d, (a, b), n_particles)
     state = FewBodyState(lattice, amp, 0.0)
     return state.normalized()
-
-
-def fewbody_recorder(stream: TextIO, hamiltonian: DiscreteHamiltonian,
-                     extra: Callable[[FewBodyState], float] | None = None,
-                     ) -> Callable[[FewBodyState], None]:
-    """Observer writing CSV rows (t, norm, energy per particle, extra)."""
-    return _csv_recorder(stream, "t,norm,energy_per_particle,extra", lambda state: (
-        state.time, state.norm(), energy_per_particle(state, hamiltonian),
-        float("nan") if extra is None else float(extra(state))))
 
 
 def write_fewbody_checkpoint(state: FewBodyState, path: str) -> None:

@@ -10,15 +10,18 @@ stability) is the only dt constraint, monitored through the energy.
 One private splitting, `_strang`, applies exp(-z H) in this order for a
 complex time z: z = i dt is the real-time step of `step` and of the lattice
 mean-field surrogate `diagnostics.mean_field_step`, and a real z = tau is the
-normalized gradient-flow step of `ground_state`.
+normalized gradient-flow step of `ground_state`. `propagate` hands the
+initial state and each stepped state to an optional observer; the `gp`
+scenario samples its CSV rows that way.
 
 Nothing a step cannot change is rebuilt per step. The kinetic factor
 exp(-z |k|^2) comes from `Lattice2D.kinetic_factor(z)`, cached per (lattice,
-z) and read-only. The field table A_t is read through a one-entry memo on the
-`ExternalField`, keyed on the grid and the exact float time, so a step's end
-table is the next step's start table and an energy at the current time costs
-no evaluation; the memoized table is read-only, and the field must be a pure
-function of (x, y, t). Both caches return the very arrays the uncached code
+z) and read-only. The field is a closed form A(x, y, t), and its table A_t
+is read through a one-entry memo on the `ExternalField`, keyed on the grid
+and the exact float time, so a step's end table is the next step's start
+table and an energy at the current time costs no evaluation; the memoized
+table is read-only, and the field must be a pure function of (x, y, t).
+Both caches return the very arrays the uncached code
 would build, so every result keeps its bits.
 
 The kinetic symbol carries no 1/2: the Laplacian enters the equation bare,
@@ -32,11 +35,10 @@ import functools
 import json
 import math
 import warnings
-from typing import Any, Callable, Sequence, TextIO
+from typing import Callable
 
 import numpy as np
 import scipy.fft
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Lattice2D",
@@ -48,8 +50,6 @@ __all__ = [
     "propagate",
     "gp_energy",
     "ground_state",
-    "spectral_tail_fraction",
-    "trajectory_recorder",
     "write_checkpoint",
     "read_checkpoint",
 ]
@@ -148,18 +148,15 @@ class GpState:
 
 @dataclasses.dataclass(frozen=True)
 class ExternalField:
-    """Bounded external potential A_t with a time derivative accessor.
+    """Bounded external potential A_t given by a closed form (x, y, t) -> values.
 
-    Built either from a closed form (x, y, t) -> values or from tabulated
-    time snapshots with cubic interpolation. The time derivative uses the
-    analytic form when given, the spline derivative for snapshots, and a
-    centered difference otherwise. The stepper reads tables through a
-    one-entry memo held on the instance, so a closed form must be a pure
-    function of (x, y, t).
+    func_dot, when given, is the analytic time derivative that
+    `time_derivative` reads. The stepper reads tables through a one-entry
+    memo held on the instance, so a closed form must be a pure function of
+    (x, y, t).
     """
     func: Callable[[np.ndarray, np.ndarray, float], np.ndarray | float] | None = None
     func_dot: Callable[[np.ndarray, np.ndarray, float], np.ndarray | float] | None = None
-    _spline: CubicSpline | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_memo", [None])
@@ -171,66 +168,54 @@ class ExternalField:
         return cls(func=func, func_dot=func_dot)
 
     @classmethod
-    def from_snapshots(cls, times: Sequence[float], fields: np.ndarray) -> "ExternalField":
-        times = np.asarray(times, dtype=float)
-        fields = np.asarray(fields, dtype=float)
-        if times.ndim != 1 or times.size < 4 or np.any(np.diff(times) <= 0):
-            raise ValueError("need at least 4 strictly increasing snapshot times for cubic interpolation")
-        if fields.shape[0] != times.size or fields.ndim != 3:
-            raise ValueError("fields must be a (len(times), n, n) stack")
-        return cls(_spline=CubicSpline(times, fields, axis=0))
-
-    @classmethod
     def zero(cls) -> "ExternalField":
         return cls(func=lambda x, y, t: np.zeros_like(x))
 
     def evaluate(self, grid: Grid2D, t: float) -> np.ndarray:
-        if self._spline is not None:
-            a = np.asarray(self._spline(t), dtype=float)
-        elif self.func is not None:
-            xx, yy = grid.meshes()
-            a = np.broadcast_to(np.asarray(self.func(xx, yy, t), dtype=float), xx.shape)
-        else:
-            raise ValueError("field has neither a closed form nor snapshots")
+        if self.func is None:
+            raise ValueError("field has no closed form")
+        xx, yy = grid.meshes()
+        a = np.broadcast_to(np.asarray(self.func(xx, yy, t), dtype=float), xx.shape)
         if not np.all(np.isfinite(a)):
             raise ValueError(f"external field is not bounded at t={t}")
         return a
 
     def time_derivative(self, grid: Grid2D, t: float) -> np.ndarray:
+        """dA/dt on grid: func_dot when given, else a centered difference.
+
+        It is the one reader of func_dot, which the CLI's cosine field and
+        the benchmark's compare workload both pass; the energy-balance test
+        of the GP stepper checks dE/dt = <dA/dt> through it.
+        """
         if self.func_dot is not None:
             xx, yy = grid.meshes()
             return np.broadcast_to(np.asarray(self.func_dot(xx, yy, t), dtype=float),
                                    xx.shape)
-        if self._spline is not None:
-            return np.asarray(self._spline(t, 1), dtype=float)
         h = 1e-6 * max(1.0, abs(t))
         return (self.evaluate(grid, t + h) - self.evaluate(grid, t - h)) / (2.0 * h)
 
 
 @dataclasses.dataclass(frozen=True)
 class GpParams:
-    """Coupling b >= 0 and time step; workers threads the transforms."""
+    """Coupling b >= 0 and time step."""
     coupling: float
     dt: float = 1e-3
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.coupling < 0:
             raise ValueError("coupling must be nonnegative")
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 def _strang(psi: np.ndarray, lattice: Lattice2D, coupling: float, a_now: np.ndarray,
-            a_next: np.ndarray, z: complex, workers: int = 1) -> np.ndarray:
+            a_next: np.ndarray, z: complex) -> np.ndarray:
     """exp(-z H) by Strang splitting: half phase under a_now, kinetic factor
     exp(-z |k|^2), half phase under a_next and the updated density."""
     psi = psi * np.exp(-0.5 * z * (a_now + coupling * np.abs(psi) ** 2))
-    psi_hat = scipy.fft.fft2(psi, workers=workers)
+    psi_hat = scipy.fft.fft2(psi)
     psi_hat *= lattice.kinetic_factor(z)
-    psi = scipy.fft.ifft2(psi_hat, workers=workers)
+    psi = scipy.fft.ifft2(psi_hat)
     return psi * np.exp(-0.5 * z * (a_next + coupling * np.abs(psi) ** 2))
 
 
@@ -255,7 +240,7 @@ def step(state: GpState, field: ExternalField, params: GpParams,
     dt = params.dt if dt is None else float(dt)
     grid = state.grid
     psi = _strang(state.amplitudes, grid, params.coupling, _field_table(field, grid, state.time),
-                  _field_table(field, grid, state.time + dt), 1j * dt, params.workers)
+                  _field_table(field, grid, state.time + dt), 1j * dt)
     return GpState(grid, psi, state.time + dt)
 
 
@@ -291,35 +276,18 @@ def propagate(state: GpState, field: ExternalField, params: GpParams, n_steps: i
 def gp_energy(state: GpState, field: ExternalField, params: GpParams) -> float:
     """Kinetic term by Parseval plus potential and interaction quadratures."""
     return _mean_field_energy(state.amplitudes, state.grid, params.coupling,
-                              _field_table(field, state.grid, state.time), params.workers)
+                              _field_table(field, state.grid, state.time))
 
 
 def _mean_field_energy(psi: np.ndarray, lattice: Lattice2D, coupling: float,
-                       a_now: np.ndarray, workers: int = 1) -> float:
+                       a_now: np.ndarray) -> float:
     """Energy of a field on a periodic lattice under the external table a_now."""
     cell = lattice.spacing ** 2
-    psi_hat = scipy.fft.fft2(psi, workers=workers)
+    psi_hat = scipy.fft.fft2(psi)
     kinetic = float(np.sum(lattice.kinetic_symbol() * np.abs(psi_hat) ** 2)) * cell / lattice.d
     density = np.abs(psi) ** 2
     potential = float(np.sum((a_now + 0.5 * coupling * density) * density)) * cell
     return kinetic + potential
-
-
-def spectral_tail_fraction(state: GpState) -> float:
-    """Mass fraction above 2/3 of the Nyquist wavenumber, a smoothness proxy.
-
-    Propagation assumes the field stays spectrally resolved; a growing tail
-    means the grid no longer supports the regularity the scheme needs.
-    """
-    grid = state.grid
-    psi_hat = scipy.fft.fft2(state.amplitudes)
-    k = grid.wavenumbers()
-    k_cut = (2.0 / 3.0) * math.pi / grid.spacing
-    tail = (np.abs(k[:, None]) > k_cut) | (np.abs(k[None, :]) > k_cut)
-    total = float(np.sum(np.abs(psi_hat) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(psi_hat[tail]) ** 2)) / total
 
 
 def ground_state(field: ExternalField, params: GpParams, seed: GpState,
@@ -335,11 +303,11 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
     a_now = _field_table(field, grid, 0.0)
     psi = seed.normalized().amplitudes
     tau = params.dt
-    energy = _mean_field_energy(psi, grid, params.coupling, a_now, params.workers)
+    energy = _mean_field_energy(psi, grid, params.coupling, a_now)
     for iteration in range(int(max_steps)):
-        candidate = _strang(psi, grid, params.coupling, a_now, a_now, tau, params.workers)
+        candidate = _strang(psi, grid, params.coupling, a_now, a_now, tau)
         candidate /= math.sqrt(float(np.sum(np.abs(candidate) ** 2)) * grid.spacing ** 2)
-        e_new = _mean_field_energy(candidate, grid, params.coupling, a_now, params.workers)
+        e_new = _mean_field_energy(candidate, grid, params.coupling, a_now)
         if e_new > energy:
             tau *= 0.5
             if tau < 1e-14:
@@ -354,25 +322,6 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
     else:
         raise RuntimeError(f"imaginary-time descent did not converge in {max_steps} steps")
     return GpState(grid, psi, 0.0)
-
-
-def _csv_recorder(stream: TextIO, header: str,
-                  row: Callable[[Any], tuple[float, ...]]) -> Callable[[Any], None]:
-    """Observer writing the header line now and one %.17g CSV row per state."""
-    stream.write(header + "\n")
-
-    def record(state: Any) -> None:
-        stream.write(",".join("%.17g" % value for value in row(state)) + "\n")
-
-    return record
-
-
-def trajectory_recorder(stream: TextIO, field: ExternalField,
-                        params: GpParams) -> Callable[[GpState], None]:
-    """Observer writing CSV rows (t, norm, energy, peak density) to a stream."""
-    return _csv_recorder(stream, "t,norm,energy,peak_density", lambda state: (
-        state.time, state.norm(), gp_energy(state, field, params),
-        float(np.max(np.abs(state.amplitudes) ** 2))))
 
 
 _CHECKPOINT_CODES = {"complex64": "<c8", "complex128": "<c16"}

@@ -35,7 +35,6 @@ __all__ = [
     "make_scaled",
     "make_smeared",
     "smeared_norm_report",
-    "v_class_report",
     "laplacian_residual",
 ]
 
@@ -225,26 +224,6 @@ def make_scaled(family: str, base: RadialPotential, N: int, beta: float | None =
     if family == "U_smeared":
         raise ValueError("the smeared disc is built by make_smeared")
     raise ValueError(f"unknown family {family!r}")
-
-
-def v_class_report(scaled: ScaledPotential) -> dict[str, float]:
-    """Observed membership constants for the dilute-potential class.
-
-    The class at exponent b requires L1 <= C/N, L2 <= C N^(-1+b),
-    Linf <= C N^(-1+2b), support <= C N^(-b); the returned constants are the
-    smallest C making each hold. They are reported, not asserted: the class
-    constant is generic.
-    """
-    b = scaled.beta if scaled.family in ("W_beta", "M_beta") else scaled.beta1
-    if b is None:
-        raise ValueError("class membership applies to the soft/annular/smeared families")
-    N = float(scaled.N)
-    return {
-        "l1_constant": scaled.norm_l1 * N,
-        "l2_constant": scaled.norm_l2 * N ** (1.0 - b),
-        "inf_constant": scaled.norm_inf * N ** (1.0 - 2.0 * b),
-        "support_constant": scaled.support_radius * N ** b,
-    }
 
 
 class SmearedNorms(NamedTuple):

@@ -43,7 +43,6 @@ __all__ = [
     "build_microscopic",
     "g_norm_report",
     "coupling_deviation",
-    "bare_coupling_deviation",
     "check_pair_positivity",
     "positivity_refinement_study",
 ]
@@ -549,12 +548,6 @@ def coupling_deviation(pair: MicroscopicPair) -> float:
                                     + pair._B * y1(pair._k * pair.R_beta))
     # N*||M f||_1 = 4*pi*N*(1 - R u'(R))/u(R) via the annulus moment identity.
     return 4.0 * math.pi * (pair.N * (1.0 - w_R) - U) / U
-
-
-def bare_coupling_deviation(pair: MicroscopicPair) -> float:
-    """Signed deviation N * ||M||_1 - 4*pi (no state weighting)."""
-    area = math.pi * (pair.R_beta ** 2 - pair.inner_radius ** 2)
-    return pair.N * pair.height * area - 4.0 * math.pi
 
 
 def _positivity_nodes(pair: MicroscopicPair, grid_resolution: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Experiment driver: config resolution, determinism, artifacts, exit codes."""
 import hashlib
+import importlib
 import json
 import math
 from pathlib import Path
@@ -33,6 +34,16 @@ def manifest_of(out_root: Path, scenario: str) -> dict:
     return json.loads(paths[0].read_text())
 
 
+# ----------------------------------------------------------------- package
+
+
+@pytest.mark.parametrize("module", ["bosons2d", "bosons2d.diagnostics", "bosons2d.fewbody",
+                                    "bosons2d.gp", "bosons2d.potentials", "bosons2d.scattering"])
+def test_every_exported_name_resolves(module):
+    namespace = importlib.import_module(module)
+    assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
+
+
 # ----------------------------------------------------------------- config
 
 
@@ -61,6 +72,8 @@ def test_unknown_keys_are_named():
         load_config("gp", {"betta": 1.0})
     with pytest.raises(ValueError, match="potential: unknown key 'hieght'"):
         load_config("gp", {"potential": {"hieght": 2.0}})
+    with pytest.raises(ValueError, match="config: unknown key 'threads'"):
+        load_config("gp", {"threads": 1})
 
 
 def test_validation_errors_name_the_parameter_path():
@@ -82,7 +95,7 @@ def test_validation_errors_name_the_parameter_path():
 
 def test_config_hash_ignores_execution_fields_only():
     base = load_config("scattering")
-    moved = load_config("scattering", {"out_dir": "elsewhere", "threads": 8})
+    moved = load_config("scattering", {"out_dir": "elsewhere"})
     reseeded = load_config("scattering", {"seed": 1})
     assert config_hash(base) == config_hash(moved)
     assert config_hash(base) != config_hash(reseeded)
@@ -99,6 +112,26 @@ def test_config_hash_ignores_how_a_float_is_spelled():
         load_config("gp", {"coupling": "1.0"})
     with pytest.raises(ValueError, match="potential.radius: must be a number"):
         load_config("gp", {"potential": {"radius": True}})
+
+
+def test_integer_fields_take_integral_values_only():
+    """An integral float reads as its int and keeps the hash; anything that
+    would be truncated is rejected with the parameter path."""
+    config = load_config("compare", {"lattice_points": 6.0, "n_values": [2.0],
+                                     "seed": 0.0, "substeps": 1.0})
+    assert config_hash(config)[:12] == "09e2564a14b6"
+    assert config == load_config("compare")
+    assert type(config.lattice_points) is int and type(config.n_values[0]) is int
+    for overrides, message in (
+            ({"lattice_points": 6.5}, "lattice_points: must be an integer, got 6.5"),
+            ({"n_values": [2.9]}, r"n_values\[0\]: must be an integer, got 2.9"),
+            ({"seed": 0.5}, "seed: must be an integer, got 0.5"),
+            ({"substeps": 1.7}, "substeps: must be an integer, got 1.7"),
+            ({"lattice_points": "6"}, "lattice_points: must be an integer, got '6'"),
+            ({"grid_points": True}, "grid_points: must be an integer, got True"),
+            ({"seed": float("nan")}, "seed: must be an integer, got nan")):
+        with pytest.raises(ValueError, match=message):
+            load_config("compare", overrides)
 
 
 # ----------------------------------------------------------------- fitting
@@ -208,25 +241,12 @@ def test_seed_feeds_the_initial_data(tmp_path):
 
 
 def test_threaded_sweep_matches_serial(tmp_path):
-    serial = run(load_config("microscopic", {"out_dir": str(tmp_path / "s")}))
-    threaded = run(load_config("microscopic", {"threads": 4,
-                                               "out_dir": str(tmp_path / "t")}))
-    assert serial.passed and threaded.passed
-    assert serial.artifacts == threaded.artifacts
-    fits = json.loads((tmp_path / "s" / f"microscopic-{serial.config_hash[:12]}"
+    serial = run(load_config("microscopic", {"out_dir": str(tmp_path)}))
+    assert serial.passed
+    fits = json.loads((tmp_path / f"microscopic-{serial.config_hash[:12]}"
                        / "fits.json").read_text())
     assert fits["R_beta"]["exponent"] == pytest.approx(-0.5, abs=0.1)
     assert {"g_l1", "g_l2"} <= set(fits)
-    # threads sets only the gp FFT workers; fewbody and compare must not move.
-    for scenario, small in (("fewbody", {"lattice_points": 4, "t_final": 0.01,
-                                         "dt": 2e-3, "field_amplitude": 1.0}),
-                            ("compare", {"lattice_points": 4, "t_final": 0.01,
-                                         "dt": 2e-3, "field_amplitude": 1.0})):
-        serial = run(load_config(scenario, {**small, "out_dir": str(tmp_path / "s")}))
-        threaded = run(load_config(scenario, {**small, "threads": 2,
-                                              "out_dir": str(tmp_path / "t")}))
-        assert serial.passed and threaded.passed
-        assert serial.artifacts == threaded.artifacts
 
 
 def test_compare_emits_the_counting_columns(tmp_path):
@@ -318,7 +338,7 @@ def test_fewbody_single_particle_runs_free(tmp_path):
 
 
 def test_main_returns_zero_and_prints_verdict(tmp_path, capsys):
-    code = cli.main(["scattering", "--out", str(tmp_path), "--threads", "2"])
+    code = cli.main(["scattering", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert "scattering: PASSED" in out

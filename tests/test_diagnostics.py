@@ -1,4 +1,4 @@
-"""Condensation-counting diagnostics: algebra, moments, rates, indicators."""
+"""Condensation-counting diagnostics: algebra, moments, rates."""
 import itertools
 import json
 import math
@@ -17,10 +17,8 @@ from bosons2d.diagnostics import (
     alpha_less,
     apply_pair_table,
     apply_weight,
-    condensate_distance_bound,
     counting_difference,
     counting_weight,
-    cutoff_indicators,
     ddt_weight_identity,
     dense_operator,
     diagnostics_report,
@@ -577,7 +575,8 @@ def test_trace_distance_bounded_by_depletion():
         state = random_symmetric_state(lat, n, seed)
         numbers = number_expectations(state, proj)
         distance = trace_distance(gamma1(state), proj)
-        assert distance <= condensate_distance_bound(numbers.n_square) + 1e-10
+        u = max(numbers.n_square, 0.0)
+        assert distance <= u + math.sqrt(u) + 1e-10
 
 
 def test_depletion_family_drives_all_diagnostics_together():
@@ -764,104 +763,3 @@ def test_algebra_report_tap_and_json():
     payload = json.loads(report.to_json())
     assert payload["passed"] is False
     assert payload["checks"][1]["name"] == "broken-check"
-
-
-# -------------------------------------------------------- cutoff indicators
-
-
-def test_cutoff_pair_indicator_bounds_resolved():
-    lat = Lattice2D(8, 1.0)
-    proj = CondensateProjector(lat, lattice_field(lat))
-    # threshold 2^-1 = 0.5: resolved, proper subset of the torus
-    report = cutoff_indicators(lat, 2, 1.0, proj)
-    assert report.resolved
-    assert 0.0 < report.discrete_disc_area < 1.0
-    assert report.pair_projector_norm <= report.pair_projector_bound + 1e-12
-    assert report.union_projector_norm <= report.union_projector_bound + 1e-12
-    assert report.commutator_norm <= report.commutator_bound + 1e-12
-    # with the disc well resolved the continuum-area forms hold too
-    assert report.pair_projector_norm <= report.pair_projector_disc_bound + 1e-12
-    assert report.commutator_norm <= report.commutator_disc_bound + 1e-12
-    assert report.commutator_norm > 0.0
-
-
-def test_cutoff_unresolved_threshold_flags_and_keeps_coincidences():
-    lat = Lattice2D(4, 1.0)
-    proj = CondensateProjector(lat, lattice_field(lat))
-    report = cutoff_indicators(lat, 2, 4.0, proj)
-    assert not report.resolved
-    # only the coincidence diagonal survives: norm is the single-cell mass
-    cell = lat.spacing ** 2
-    phi_inf = float(np.max(np.abs(proj.phi)))
-    assert report.pair_projector_norm == pytest.approx(
-        phi_inf * math.sqrt(cell), rel=1e-12)
-    assert report.discrete_disc_area == pytest.approx(cell, rel=1e-12)
-
-
-def test_cutoff_full_space_limit():
-    lat = Lattice2D(4, 1.0)
-    phi = lattice_field(lat)
-    proj = CondensateProjector(lat, phi)
-    state = depleted_state(lat, phi, 0.2)
-    # threshold 2^-0.01 ~ 0.993 exceeds every minimum-image distance
-    report = cutoff_indicators(lat, 2, 0.01, proj, state=state)
-    assert report.state_union_mass == pytest.approx(1.0, abs=1e-12)
-    assert report.pair_projector_norm == pytest.approx(1.0, abs=1e-12)
-    assert report.commutator_norm < 1e-12
-    assert report.state_triple_mass == 0.0
-
-
-def test_cutoff_union_and_triple_match_brute_force():
-    lat = Lattice2D(3, 1.0)
-    phi = lattice_field(lat)
-    proj = CondensateProjector(lat, phi)
-    state = random_symmetric_state(lat, 3, 13)
-    d_exponent = 0.8
-    report = cutoff_indicators(lat, 3, d_exponent, proj, state=state)
-    threshold = 3.0 ** -d_exponent
-    from bosons2d.fewbody import _pair_site_table
-    close = _pair_site_table(lat.m, lat.minimum_image_distances() < threshold)
-    cell = lat.spacing ** 2
-    union_mass = 0.0
-    triple_mass = 0.0
-    amps = state.amplitudes
-    for a in range(lat.d):
-        for b in range(lat.d):
-            for c in range(lat.d):
-                w = abs(amps[a, b, c]) ** 2 * cell ** 3
-                if close[a, b] or close[a, c]:
-                    union_mass += w
-                if close[b, c]:
-                    triple_mass += w
-    assert report.state_union_mass == pytest.approx(math.sqrt(union_mass), rel=1e-10)
-    assert report.state_triple_mass == pytest.approx(math.sqrt(triple_mass), rel=1e-10)
-    payload = json.loads(report.to_json())
-    assert payload["threshold"] == pytest.approx(threshold)
-    assert payload["resolved"] is True
-
-
-def test_cutoff_commutator_matches_full_dense_norm():
-    lat = Lattice2D(3, 1.0)
-    proj = CondensateProjector(lat, lattice_field(lat))
-    report = cutoff_indicators(lat, 2, 0.8, proj)
-    threshold = 2.0 ** -0.8
-    from bosons2d.fewbody import _pair_site_table
-    close = _pair_site_table(lat.m, (lat.minimum_image_distances()
-                                     < threshold).astype(float))
-    indicator = np.zeros((lat.d ** 2, lat.d ** 2))
-    np.fill_diagonal(indicator, close.ravel())
-    p2 = np.kron(np.eye(lat.d), proj.p_matrix)
-    dense_norm = float(np.linalg.norm(indicator @ p2 - p2 @ indicator, 2))
-    assert report.commutator_norm == pytest.approx(dense_norm, rel=1e-10)
-
-
-def test_cutoff_validation():
-    lat = Lattice2D(3, 1.0)
-    proj = CondensateProjector(lat, lattice_field(lat))
-    with pytest.raises(ValueError):
-        cutoff_indicators(lat, 1, 0.5, proj)
-    with pytest.raises(ValueError):
-        cutoff_indicators(Lattice2D(4, 1.0), 2, 0.5, proj)
-    other = random_symmetric_state(lat, 2, 1)
-    with pytest.raises(ValueError):
-        cutoff_indicators(lat, 3, 0.5, proj, state=other)

@@ -10,7 +10,6 @@ from bosons2d.potentials import (
     make_scaled,
     make_smeared,
     smeared_norm_report,
-    v_class_report,
 )
 from bosons2d.quadrature import piecewise_simpson, radial_area_integral, simpson_with_halving
 from bosons2d.scattering import potential_from_table, solve_zero_energy, square_well
@@ -77,8 +76,20 @@ def test_generalized_compression_coupling_trend():
     assert gaps[2] < gaps[1] < gaps[0]
 
 
+def class_constants(scaled):
+    """Smallest C with L1 <= C/N, L2 <= C N^(-1+b), Linf <= C N^(-1+2b) and
+    support <= C N^(-b): the dilute-potential class at exponent b = beta."""
+    N, b = float(scaled.N), scaled.beta
+    return {
+        "l1_constant": scaled.norm_l1 * N,
+        "l2_constant": scaled.norm_l2 * N ** (1.0 - b),
+        "inf_constant": scaled.norm_inf * N ** (1.0 - 2.0 * b),
+        "support_constant": scaled.support_radius * N ** b,
+    }
+
+
 def test_v_class_constants_for_soft_family():
-    reports = [v_class_report(make_scaled("W_beta", BASE, N=N, beta=0.6))
+    reports = [class_constants(make_scaled("W_beta", BASE, N=N, beta=0.6))
                for N in (4, 32, 256)]
     for key, expected in (("l1_constant", BASE_L1),
                           ("l2_constant", 4.0 * math.sqrt(math.pi) * 0.5),
@@ -90,7 +101,7 @@ def test_v_class_constants_for_soft_family():
 
 
 def test_annular_family_is_in_class():
-    rep = v_class_report(make_scaled("M_beta", BASE, N=16, beta=1.0))
+    rep = class_constants(make_scaled("M_beta", BASE, N=16, beta=1.0))
     assert all(0.0 < c < 50.0 for c in rep.values())
 
 

@@ -274,12 +274,10 @@ def test_checkpoint_round_trips(n, box_length, time, exponent, seed):
        coupling=st.floats(0.0, 100.0),
        xi=st.floats(0.01, 0.49),
        box_length=st.floats(0.25, 8.0),
-       threads=st.integers(1, 4),
        height=st.floats(0.5, 10.0))
-def test_canonical_config_round_trips(scenario, seed, coupling, xi, box_length, threads,
-                                      height):
+def test_canonical_config_round_trips(scenario, seed, coupling, xi, box_length, height):
     config = load_config(scenario, {"seed": seed, "coupling": coupling, "xi": xi,
-                                    "box_length": box_length, "threads": threads,
+                                    "box_length": box_length,
                                     "potential": {"height": height}})
     again = load_config(scenario, canonical_dict(config))
     assert again == config

@@ -7,7 +7,6 @@ from scipy.special import i0, i1
 
 from bosons2d.quadrature import radial_area_integral
 from bosons2d.scattering import (
-    bare_coupling_deviation,
     build_microscopic,
     check_pair_positivity,
     coupling_deviation,
@@ -243,13 +242,6 @@ def test_pair_coupling_integrals(pair_16_1):
         lambda rho: base(rho) * p.f_evaluate(rho * math.exp(-p.N)),
         [0.0, base.support_radius], rtol=1e-12)
     assert abs(core_numeric - 4.0 * math.pi / p._u_at_R) <= 1e-9 * core_numeric
-
-
-def test_bare_coupling_formula(pair_16_1):
-    p = pair_16_1
-    direct, _ = radial_area_integral(
-        lambda r: np.full_like(r, p.height), [p.inner_radius, p.R_beta], rtol=1e-12)
-    assert abs(bare_coupling_deviation(p) - (p.N * direct - 4.0 * math.pi)) <= 1e-10
 
 
 def test_coupling_deviation_is_log_over_N():
