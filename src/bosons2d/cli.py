@@ -81,6 +81,8 @@ def _coerce_numbers(spec: Any, path: str = "") -> None:
         elif field.type in ("int", int):
             value = _integer(value, name)
         elif field.type == "tuple[int, ...]":
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name}: must be a list of integers, got {value!r}")
             value = tuple(_integer(n, f"{name}[{i}]") for i, n in enumerate(value))
         else:
             continue
@@ -135,6 +137,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario: unknown scenario {self.scenario!r}")
+        if not isinstance(self.potential, PotentialSpec):
+            raise ValueError(f"potential: must be a JSON object, got {self.potential!r}")
         _coerce_numbers(self)
         values = self.n_values
         if not values:
@@ -218,8 +222,6 @@ def load_config(scenario: str, data: dict[str, Any] | None = None,
             if key not in pot_names:
                 raise ValueError(f"potential: unknown key {key!r}")
         merged["potential"] = PotentialSpec(**pot)
-    if isinstance(merged.get("n_values"), (list, tuple)):
-        merged["n_values"] = tuple(merged["n_values"])
     return ExperimentConfig(**merged)
 
 

@@ -9,6 +9,8 @@ the 2D Poisson equation (1/r)(r h')' = W - U with h = 0 outside the disc.
 
 All norms are computed analytically from base-potential moments, never by
 resampling the scaled profile, so charge cancellations hold to roundoff.
+The norms of h are radial quadratures of those closed forms: the piece at
+the origin in r, every outer piece in ln r.
 The base moments (cumulative charge and log moment) are exact closed forms
 for piecewise-linear profiles, which covers both built-in constructors;
 other callables are treated as piecewise linear between their declared
@@ -23,8 +25,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import quadrature
 from .fitting import FitResult, power_law_fit
-from .quadrature import radial_area_integral
 from .scattering import MicroscopicPair, RadialPotential, build_microscopic
 
 __all__ = [
@@ -135,8 +137,8 @@ def _base_moments(potential: RadialPotential) -> _RadialMoments:
 def _base_norms(potential: RadialPotential) -> tuple[float, float, float]:
     """(L1, L2, Linf) of the base potential over the plane."""
     cuts = [0.0, *potential.internal_breakpoints(), potential.support_radius]
-    l1, _ = radial_area_integral(potential, cuts, rtol=1e-13)
-    l2sq, _ = radial_area_integral(lambda r: potential(r) ** 2, cuts, rtol=1e-13)
+    l1, _ = quadrature.radial_area_integral(potential, cuts, rtol=1e-13)
+    l2sq, _ = quadrature.radial_area_integral(lambda r: potential(r) ** 2, cuts, rtol=1e-13)
     samples = np.concatenate([np.asarray(cuts), np.linspace(0.0, potential.support_radius, 513)])
     linf = float(np.max(potential(samples)))
     return float(l1), math.sqrt(max(l2sq, 0.0)), linf
@@ -241,7 +243,8 @@ class SmearedComparison:
     and is nonpositive inside it: the charge difference W - U is positive
     near the origin, so h rises monotonically from its negative minimum at
     r = 0 to the pinned value 0 at the disc edge. Each norm is computed on
-    its first read.
+    its first read; its integral runs in r on the piece at the origin and
+    in ln r on every piece beyond it.
     """
     N: int
     beta: float
@@ -259,7 +262,22 @@ class SmearedComparison:
         return sorted(set([0.0, *self.charge_knots, self.inner_support, self.outer_support]))
 
     def _area_integral(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(radial_area_integral(f, self._cuts(), rtol=1e-11)[0])
+        """2*pi int r f(r) dr, piece by piece between the cuts.
+
+        The piece at the origin is integrated in r; every other piece is
+        integrated in s = ln r as int r^2 f(e^s) ds: beyond the potential
+        support r |h'|^2 falls like 1/r, which is flat in s, while in r the
+        outer piece spans three decades at large N.
+        """
+        def in_log(s: np.ndarray) -> np.ndarray:
+            r = np.exp(s)
+            return r * r * np.asarray(f(r), dtype=float)
+
+        cuts = self._cuts()
+        inner, _ = quadrature.radial_area_integral(f, cuts[:2], rtol=1e-11)
+        outer, _ = quadrature.piecewise_simpson(in_log, [math.log(c) for c in cuts[1:]],
+                                                rtol=1e-11)
+        return float(inner + 2.0 * np.pi * outer)
 
     @functools.cached_property
     def h_inf(self) -> float:
@@ -319,9 +337,9 @@ def make_smeared(w_beta: ScaledPotential, beta1: float) -> tuple[ScaledPotential
     def charge_w(r: np.ndarray) -> np.ndarray:
         return n_inv * moments.charge(np.asarray(r, dtype=float) * w_scale)
 
-    def tail_log_w(r: np.ndarray) -> np.ndarray:
-        x = np.asarray(r, dtype=float) * w_scale
-        q_tail = moments.total_charge - moments.charge(x)
+    def tail_log_w(x: np.ndarray, charge_x: np.ndarray) -> np.ndarray:
+        """int_r^inf ln(s) W_beta(s) s ds at x = r N^beta, given moments.charge(x)."""
+        q_tail = moments.total_charge - charge_x
         l_tail = moments.total_log_moment - moments.log_moment(x)
         return n_inv * (l_tail - beta_log * q_tail)
 
@@ -335,8 +353,10 @@ def make_smeared(w_beta: ScaledPotential, beta1: float) -> tuple[ScaledPotential
 
     def h_evaluate(r: np.ndarray | float) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        q = charge_w(r) - charge_u(r)
-        t = tail_log_w(r) - tail_log_u(r)
+        x = r * w_scale
+        charge_x = moments.charge(x)
+        q = n_inv * charge_x - charge_u(r)
+        t = tail_log_w(x, charge_x) - tail_log_u(r)
         out = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)) * q, 0.0) + t
         return out
 

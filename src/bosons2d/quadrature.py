@@ -30,6 +30,17 @@ def _simpson_sum(y: np.ndarray, a: float, b: float, n: int) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
+def _finite(y: np.ndarray, x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """y unchanged, or a ValueError naming [a, b] and the first non-finite sample."""
+    bad = ~np.isfinite(y)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"Simpson halving on [{a!r}, {b!r}]: integrand is {float(y[i])!r} "
+            f"at node {float(x[i])!r}")
+    return y
+
+
 def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                       n: int = 128) -> float:
     """Composite Simpson rule with n subintervals (n is forced even)."""
@@ -49,6 +60,8 @@ def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     the two finest levels; iteration stops once it drops below tolerance. A
     run that reaches _MAX_DOUBLINGS without meeting it returns the same pair
     and emits a RuntimeWarning naming the interval, the estimate and rtol.
+    A non-finite sample raises a ValueError on the pass that takes it, since
+    it stays in every later pass and no halving can make the value finite.
 
     f must be elementwise. Each doubling samples it only at the new odd
     nodes, so every node is sampled once, and each pass, the last included,
@@ -57,7 +70,8 @@ def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
     if b <= a:
         return 0.0, 0.0
     n = _N0
-    y = np.asarray(f(np.linspace(a, b, n + 1)), dtype=float)
+    x = np.linspace(a, b, n + 1)
+    y = _finite(np.asarray(f(x), dtype=float), x, a, b)
     prev = _simpson_sum(y, a, b, n)
     err = np.inf
     for _ in range(_MAX_DOUBLINGS):
@@ -66,7 +80,7 @@ def simpson_with_halving(f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
         new = np.ascontiguousarray(np.linspace(a, b, 2 * n + 1)[1::2])
         fine = np.empty(2 * n + 1)
         fine[::2] = y
-        fine[1::2] = np.asarray(f(new), dtype=float)
+        fine[1::2] = _finite(np.asarray(f(new), dtype=float), new, a, b)
         y, n = fine, 2 * n
         cur = _simpson_sum(y, a, b, n)
         err = abs(cur - prev)

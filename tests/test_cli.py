@@ -357,6 +357,19 @@ def test_main_rejects_bad_config_with_exit_two(tmp_path, capsys):
     assert missing == 2
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"potential": "x"}, "potential: must be a JSON object, got 'x'"),
+    ({"potential": None}, "potential: must be a JSON object, got None"),
+    ({"n_values": 5}, "n_values: must be a list of integers, got 5"),
+], ids=["potential-string", "potential-null", "n_values-int"])
+def test_main_names_the_parameter_of_a_mistyped_config(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = cli.main(["gp", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_main_reports_failed_assertions_with_exit_one(tmp_path, capsys, monkeypatch):
     def failing_runner(config, out_dir, log):
         log.require_below("doomed-check", 2.0, 1.0)

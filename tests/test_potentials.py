@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
+from bosons2d import quadrature
 from bosons2d.potentials import (
     laplacian_residual,
     make_scaled,
@@ -258,6 +259,51 @@ def test_smeared_norm_scalings():
     assert np.max(consts) <= 1.5 * np.min(consts)
 
 
+def _quad_area_integral(comparison, f) -> float:
+    """2*pi int r f(r) dr by adaptive Gauss-Kronrod on each piece of the cuts,
+    the outer pieces in ln r; shares no rule with nested Simpson."""
+    cuts = comparison._cuts()
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo == 0.0:
+            value, _ = quad(lambda r: r * f(np.array([r]))[0], lo, hi,
+                            epsabs=0.0, epsrel=2e-14, limit=500)
+        else:
+            value, _ = quad(lambda s: math.exp(2.0 * s) * f(np.array([math.exp(s)]))[0],
+                            math.log(lo), math.log(hi), epsabs=0.0, epsrel=2e-14, limit=500)
+        total += value
+    return 2.0 * math.pi * total
+
+
+@pytest.mark.parametrize("N", [64, 1024, 8192])
+@pytest.mark.parametrize("beta1", [0.0, 0.25])
+def test_smeared_norms_match_adaptive_quadrature(N, beta1):
+    _, comp = make_smeared(make_scaled("W_beta", BASE, N=N, beta=1.0), beta1)
+    h, grad = comp.h_evaluate, comp.grad_evaluate
+    oracle = {"h_l1": _quad_area_integral(comp, lambda r: np.abs(h(r))),
+              "h_l2": math.sqrt(_quad_area_integral(comp, lambda r: h(r) ** 2)),
+              "grad_h_l2": math.sqrt(_quad_area_integral(comp, lambda r: grad(r) ** 2))}
+    for name, value in oracle.items():
+        assert getattr(comp, name) == pytest.approx(value, rel=1e-11), name
+
+
+def test_smeared_norm_sweep_sample_budget(monkeypatch):
+    """The N = 64 ... 8192 sweep with its beta1 = 0 companion stays within
+    200 000 integrand samples (2 709 058 with the outer pieces in r)."""
+    samples = []
+    inner = quadrature.simpson_with_halving
+
+    def counting(f, a, b, rtol=1e-11):
+        def counted(x):
+            samples.append(len(x))
+            return f(x)
+        return inner(counted, a, b, rtol=rtol)
+
+    monkeypatch.setattr(quadrature, "simpson_with_halving", counting)
+    smeared_norm_report(BASE, (64, 128, 256, 512, 1024, 2048, 4096, 8192), beta=1.0, beta1=0.25)
+    assert 0 < sum(samples) <= 200_000
+
+
 def test_smeared_on_table_potential():
     knots = np.linspace(0.0, 0.8, 9)
     table = potential_from_table(knots, 3.0 * (1.0 - knots / 0.8), "cone")
@@ -279,3 +325,22 @@ def test_make_smeared_rejections():
     wide = square_well(1.0, 3.0)
     with pytest.raises(ValueError):
         make_smeared(make_scaled("W_beta", wide, N=2, beta=1.0), beta1=1.0)
+
+
+@pytest.mark.parametrize("integrand, value", [
+    (lambda r: np.where(r > 0.5, np.nan, r), "nan"),
+    (lambda r: 1.0 / (r - 0.5), "inf"),
+], ids=["nan", "pole"])
+def test_simpson_rejects_non_finite_samples(integrand, value):
+    """A non-finite sample stays in every later pass, so the first pass that
+    takes one raises, naming the interval, the node and the value."""
+    sampled = []
+
+    def recording(r):
+        sampled.append(len(r))
+        return integrand(r)
+
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match=rf"\[0\.0, 1\.0\].*{value}.*node 0\.5"):
+            simpson_with_halving(recording, 0.0, 1.0)
+    assert sampled == [65]
