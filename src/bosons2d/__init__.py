@@ -6,7 +6,9 @@ comparisons (potentials), mean-field propagation on a periodic grid (gp),
 exact few-boson lattice dynamics (fewbody), and condensation-counting
 diagnostics tying them together (diagnostics). The cli module exposes each
 layer as a reproducible experiment. The exported names are the ones the
-scenarios, the acceptance criteria and the benchmark use.
+scenarios, the acceptance criteria and the benchmark use. The CLI names
+resolve on first use, so importing the package does not import `cli` and
+`python -m bosons2d.cli` runs that module once.
 """
 
 __version__ = "0.1.0"
@@ -73,7 +75,17 @@ from .diagnostics import (
     trace_distance,
     weight_expectation,
 )
-from .cli import ExperimentConfig, PotentialSpec, RunManifest, fit_report, load_config, run
+
+_CLI_NAMES = frozenset({"ExperimentConfig", "PotentialSpec", "RunManifest", "fit_report",
+                        "load_config", "run"})
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -1,14 +1,16 @@
 """Condensation-counting diagnostics for few-boson lattice states.
 
 A normalized reference field on the lattice defines a rank-one projector
-per particle; expanding a state over the 2^N products of those projectors
-gives the distribution of the number of particles outside the reference
-field. Nonnegative weights of that count turn the distribution into
-counting functionals that, together with an energy gap and an optional
-short-range correlation correction, quantify how far the exact few-body
-dynamics strays from its mean-field surrogate. `diagnostics_report`
-computes all of them for one snapshot from one count decomposition and one
-many-body energy; `alpha_less` and `alpha_full` read it. The module also
+per particle. One Householder reflection per particle axis takes a state to
+the product basis in which every one of those projectors is diagonal; there
+the number of particles outside the reference field is the number of
+nonzero indices, and its distribution is a sum of squared amplitudes.
+Nonnegative weights of that count turn the distribution into counting
+functionals that, together with an energy gap and an optional short-range
+correlation correction, quantify how far the exact few-body dynamics strays
+from its mean-field surrogate. `diagnostics_report` computes all of them
+for one snapshot from one reflected copy of the state and one many-body
+energy; `alpha_less` and `alpha_full` read it. The module also
 provides the one-particle reduced density matrix and trace distance, an exact
 time-derivative identity relating the counting functional's rate to a
 commutator expectation, and a seeded verification suite for the projector
@@ -76,6 +78,7 @@ __all__ = [
 ]
 
 EFFECTIVE_COUPLING = 4.0 * math.pi
+_REFLECT_BLOCK = 1 << 13  # entries per rank-1 update block: 128 KB of complex128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,25 +209,82 @@ def counting_difference(n_particles: int, gap: int, xi: float = 0.25) -> WeightF
     return WeightFunction(vals, "m^a" if gap == 1 else "m^b")
 
 
+def _reflect(tensor: np.ndarray, vector: np.ndarray, beta: float) -> np.ndarray:
+    """Apply R = 1 - beta v v^H along every axis of a C-contiguous tensor,
+    in place, as one rank-1 update per axis; returns the tensor.
+
+    Each update runs over blocks of about _REFLECT_BLOCK entries, so the
+    block and its rank-1 term stay in cache between the product and the
+    subtraction.
+    """
+    d = vector.size
+    row = beta * np.conjugate(vector)
+    for axis in range(tensor.ndim):
+        view = tensor.reshape(d ** axis, d, -1)
+        width = min(view.shape[2], max(1, _REFLECT_BLOCK // d))
+        rows = max(1, _REFLECT_BLOCK // (d * width))
+        for i in range(0, view.shape[0], rows):
+            for k in range(0, view.shape[2], width):
+                block = view[i:i + rows, :, k:k + width]
+                block -= vector[:, None] * np.matmul(row, block)[:, None, :]
+    return tensor
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountBasis:
+    """Amplitudes in the product basis that diagonalizes every p_j.
+
+    R = 1 - beta v v^H with v = f + (f_0 / |f_0|) e_0 (v = f + e_0 when
+    f_0 = 0) is the Householder reflection that maps f = phi sqrt(cell), the
+    reference field as a unit l2 vector, to a unit multiple of e_0. It is
+    Hermitian and its own inverse, so R p R keeps index 0 alone. With R
+    along every axis, p_j keeps index 0 of axis j, the count of particles
+    outside the reference field is the number of nonzero indices (counts),
+    and P_k = R^{(x)N} 1[count = k] R^{(x)N}. reflected is R^{(x)N} Psi.
+    """
+    reflected: np.ndarray
+    counts: np.ndarray
+    vector: np.ndarray
+    beta: float
+
+    def back(self, tensor: np.ndarray) -> np.ndarray:
+        """R^{(x)N} applied in place to a C-contiguous count-basis tensor."""
+        return _reflect(tensor, self.vector, self.beta)
+
+    def weighted(self, values: np.ndarray) -> np.ndarray:
+        """sum_k w(k) P_k Psi: the weights act on the count, then R maps back."""
+        return self.back(self.reflected * np.asarray(values)[self.counts])
+
+    def distribution(self) -> np.ndarray:
+        """Plain l2 weight sum_{count = k} |R^{(x)N} Psi|^2 of each count k."""
+        return np.bincount(self.counts.ravel(), np.abs(self.reflected.ravel()) ** 2,
+                           minlength=self.reflected.ndim + 1)
+
+
+def _count_basis(amplitudes: np.ndarray, projector: CondensateProjector) -> _CountBasis:
+    """Reflect a copy of the amplitudes into the count basis of the projector."""
+    f = projector.phi.ravel() * math.sqrt(projector.cell)
+    vector = f.copy()
+    vector[0] += f[0] / abs(f[0]) if f[0] != 0 else 1.0
+    beta = 2.0 / float(np.vdot(vector, vector).real)
+    outside = (np.arange(vector.size) != 0).astype(np.intp)
+    counts = outside
+    for _ in range(amplitudes.ndim - 1):
+        counts = np.add.outer(counts, outside)
+    reflected = _reflect(np.array(amplitudes, dtype=np.complex128, order="C"), vector, beta)
+    return _CountBasis(reflected, counts, vector, beta)
+
+
 def count_components(amplitudes: np.ndarray,
                      projector: CondensateProjector) -> tuple[np.ndarray, ...]:
     """Split amplitudes into the N + 1 fixed-count components.
 
-    Component k collects every product of per-particle p/q projections with
-    exactly k complements, accumulated particle by particle so the cost is
-    O(N^2) single-particle applications rather than 2^N.
+    Component k keeps the amplitudes of count k in the count basis and
+    reflects them back: one reflection of the amplitudes, then one per
+    component, each a rank-1 update along every particle axis.
     """
-    n = amplitudes.ndim
-    components: list[np.ndarray | None] = [amplitudes]
-    for particle in range(n):
-        grown: list[np.ndarray | None] = [None] * (len(components) + 1)
-        for k, part in enumerate(components):
-            inside = projector.apply_p(part, particle)
-            outside = part - inside
-            grown[k] = inside if grown[k] is None else grown[k] + inside
-            grown[k + 1] = outside if grown[k + 1] is None else grown[k + 1] + outside
-        components = grown
-    return tuple(components)
+    basis = _count_basis(amplitudes, projector)
+    return tuple(basis.weighted(indicator) for indicator in np.eye(amplitudes.ndim + 1))
 
 
 def apply_weight(amplitudes: np.ndarray, projector: CondensateProjector,
@@ -232,13 +292,7 @@ def apply_weight(amplitudes: np.ndarray, projector: CondensateProjector,
     """Apply the weighted sum of count projections to raw amplitudes."""
     if weight.n_particles != amplitudes.ndim:
         raise ValueError("weight length must match the particle count")
-    return _weighted_sum(weight.values, count_components(amplitudes, projector))
-
-
-def _weighted_sum(values: np.ndarray, parts: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_k w(k) C_k over count components C_k, skipping zero weights."""
-    return sum((value * part for value, part in zip(values, parts) if value != 0.0),
-               np.zeros_like(parts[0]))
+    return _count_basis(amplitudes, projector).weighted(weight.values)
 
 
 def apply_pair_table(amplitudes: np.ndarray, lattice: Lattice2D,
@@ -309,15 +363,14 @@ class NumberExpectations:
 
 
 def _count_distribution(state: FewBodyState, projector: CondensateProjector
-                        ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The count components C_k of the state and P(k) = <Psi, C_k>."""
+                        ) -> tuple[_CountBasis, np.ndarray]:
+    """The state in the count basis and P(k) = <Psi, P_k Psi>, a sum of
+    squares and so nonnegative."""
     if state.lattice != projector.lattice:
         raise ValueError(f"state lives on {state.lattice} but the projector "
                          f"on {projector.lattice}")
-    parts = count_components(state.amplitudes, projector)
-    cell_n = projector.cell ** state.n_particles
-    return parts, np.array([float(np.real(np.vdot(state.amplitudes, part))) * cell_n
-                            for part in parts])
+    basis = _count_basis(state.amplitudes, projector)
+    return basis, basis.distribution() * projector.cell ** state.n_particles
 
 
 def _relative_moments(distribution: np.ndarray) -> tuple[float, float]:
@@ -415,18 +468,21 @@ def _projected_pair_terms(state: FewBodyState, projector: CondensateProjector
     return pp, pq, qp
 
 
-def _apply_pair_weighted(parts: Sequence[np.ndarray],
-                         projector: CondensateProjector, xi: float) -> np.ndarray:
-    """The correlation-weighted projection combination on the state whose
-    count components are parts: the two-step count difference on p1 p2 Psi,
-    the one-step one on (p1 q2 + q1 p2) Psi = (p1 + p2 - 2 p1 p2) Psi. Every
-    P_k commutes with every p_j, so the weights act first, as the sums
-    chi_w = sum_k w(k) C_k."""
-    n = len(parts) - 1
-    chi_one = _weighted_sum(counting_difference(n, 1, xi).values, parts)
-    chi_two = _weighted_sum(counting_difference(n, 2, xi).values, parts)
-    p = projector.apply_p
-    return p(p(chi_two - 2.0 * chi_one, 0), 1) + p(chi_one, 0) + p(chi_one, 1)
+def _apply_pair_weighted(basis: _CountBasis, xi: float) -> np.ndarray:
+    """The correlation-weighted projection combination on the state in
+    basis: the two-step count difference on p1 p2 Psi, the one-step one on
+    (p1 q2 + q1 p2) Psi. Every P_k commutes with every p_j, so the weights
+    act on the count; in the count basis p1 p2, p1 q2 and q1 p2 keep the
+    slices [0, 0], [0, 1:] and [1:, 0] of the first two axes, and one
+    reflection maps the three slices back."""
+    n = basis.reflected.ndim
+    w_one = counting_difference(n, 1, xi).values
+    w_two = counting_difference(n, 2, xi).values
+    out = np.zeros_like(basis.reflected)
+    for index, values in (((0, 0), w_two), ((0, slice(1, None)), w_one),
+                          ((slice(1, None), 0), w_one)):
+        out[index] = values[basis.counts[index]] * basis.reflected[index]
+    return basis.back(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -491,7 +547,8 @@ def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
                        hamiltonian: DiscreteHamiltonian | None = None) -> DiagnosticsReport:
     """All condensation diagnostics of one state snapshot, in one pass.
 
-    One count decomposition gives the count distribution and the correction's
+    One reflection of the state into the count basis gives the count
+    distribution and, with one reflection back, the correction's
     pair-weighted vector; one many-body energy, under hamiltonian or one
     built as in `energy_gap`, serves every gap. The plain counting functional
     uses the supplied coupling. With micro given, the correlation-corrected
@@ -502,7 +559,7 @@ def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
     n = state.n_particles
     if micro is not None and n < 2:
         raise ValueError("need at least two particles for the pair correction")
-    parts, distribution = _count_distribution(state, projector)
+    basis, distribution = _count_distribution(state, projector)
     n_expect, n_square = _relative_moments(distribution)
     m_expect = float(np.sum(counting_weight(n, xi).values * distribution))
     gap_at = _gap_at(state, projector, interaction, field, hamiltonian)
@@ -517,7 +574,7 @@ def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
             g_table = micro.g_evaluate(lattice.minimum_image_distances().ravel()
                                        ).reshape(lattice.m, lattice.m)
             overlap = np.vdot(state.amplitudes, apply_pair_table(
-                _apply_pair_weighted(parts, projector, xi), lattice, g_table))
+                _apply_pair_weighted(basis, xi), lattice, g_table))
             correction = -n * (n - 1) * float(np.real(overlap)) * projector.cell ** n
         full = m_expect + gap_at(EFFECTIVE_COUPLING) + correction
     return DiagnosticsReport(gamma, trace_distance(gamma, projector), n_expect,
@@ -592,12 +649,12 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
                 - strength * apply_mean_part(amplitudes))
 
     amps = state.amplitudes
-    parts = count_components(amps, projector)
-    weighted = _weighted_sum(weight.values, parts)
+    basis = _count_basis(amps, projector)
+    weighted = basis.weighted(weight.values)
     commutator = -n * (n - 1) * float(np.imag(
         np.vdot(amps, apply_gap_operator(weighted)))) * cell_n
 
-    projected_vec = _apply_pair_weighted(parts, projector, xi)
+    projected_vec = _apply_pair_weighted(basis, xi)
     projected = -n * (n - 1) * float(np.imag(
         np.vdot(amps, apply_gap_operator(projected_vec)))) * cell_n
 

@@ -172,14 +172,20 @@ class DiscreteHamiltonian:
                                                  col_circulant.astype(np.complex128)))
         object.__setattr__(self, "_cache", {})
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+    def apply(self, amplitudes: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
         """V psi plus one circulant product along each of the 2N site axes:
         real products on the float64 view (real and imaginary parts side by
         side in the last axis) for every axis but the last, and a complex
-        product for the last one."""
+        product for the last one.
+
+        With out given (a C-contiguous complex128 array of the amplitudes'
+        size that does not overlap them) the result is written there and out
+        is returned reshaped; otherwise a new array is returned.
+        """
         m, n = self.lattice.m, self.n_particles
         psi = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape((m,) * (2 * n))
-        out = self._potential_total * psi
+        out = np.multiply(self._potential_total, psi,
+                          out=None if out is None else out.reshape(psi.shape))
         rows, cols, last = self._circulants
         psi_real, out_real = psi.view(np.float64), out.view(np.float64)
         for axis in range(2 * n - 1):
@@ -300,7 +306,8 @@ def _chebyshev_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
     centre c and half-width R, exp(-i dt H) = exp(-i dt c) sum_k
     (2 - delta_k0) (-i sign dt)^k J_k(|dt| R) T_k((H - c) / R), truncated
     where |J_k| falls below roundoff. Three vectors follow the three-term
-    recurrence; a fourth holds the sum.
+    recurrence and a fourth holds the sum; one scratch vector takes every
+    scaled term, so no term allocates an array.
     """
     cache = hamiltonian._cache
     if "interval" not in cache:
@@ -320,20 +327,21 @@ def _chebyshev_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
     orders = np.arange(count)
     coeffs = scipy.special.jv(orders, reach) * (-1j * math.copysign(1.0, dt)) ** orders
     coeffs[1:] *= 2.0
-    prev = np.asarray(amplitudes, dtype=np.complex128)
+    prev = np.array(amplitudes, dtype=np.complex128, order="C")  # the rotation reuses it
     out = coeffs[0] * prev
     if count > 1:
-        cur = hamiltonian.apply(prev)
-        cur -= centre * prev
+        cur, nxt, scratch = (np.empty_like(prev) for _ in range(3))
+        hamiltonian.apply(prev, out=cur)
+        cur -= np.multiply(centre, prev, out=scratch)
         cur /= half
-        out += coeffs[1] * cur
+        out += np.multiply(coeffs[1], cur, out=scratch)
         for coeff in coeffs[2:]:
-            nxt = hamiltonian.apply(cur)
-            nxt -= centre * cur
+            hamiltonian.apply(cur, out=nxt)
+            nxt -= np.multiply(centre, cur, out=scratch)
             nxt *= 2.0 / half
             nxt -= prev
-            out += coeff * nxt
-            prev, cur = cur, nxt
+            out += np.multiply(coeff, nxt, out=scratch)
+            prev, cur, nxt = cur, nxt, prev
     out *= np.exp(-1j * dt * centre)
     return out
 

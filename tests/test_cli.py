@@ -3,6 +3,9 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,18 @@ def manifest_of(out_root: Path, scenario: str) -> dict:
 def test_every_exported_name_resolves(module):
     namespace = importlib.import_module(module)
     assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
+
+
+def test_module_entry_point_runs_without_a_runtime_warning():
+    """`python -m bosons2d.cli` executes the module once: the package does
+    not import cli first, which would make runpy warn."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "bosons2d.cli",
+                           "--help"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout
 
 
 # ----------------------------------------------------------------- config

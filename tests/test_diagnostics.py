@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bosons2d import diagnostics
 from bosons2d.diagnostics import (
     CheckResult,
     CondensateProjector,
@@ -732,10 +733,9 @@ def test_algebra_suite_dense_oracle_catches_a_broken_tensor_action(monkeypatch):
     lat = Lattice2D(3, 1.0)
     proj = CondensateProjector(lat, lattice_field(lat))
     assert operator_algebra_suite(proj, 2, seed=0).passed
-    exact = CondensateProjector.apply_p
-    monkeypatch.setattr(CondensateProjector, "apply_p",
-                        lambda self, amplitudes, particle:
-                        (1.0 + 1e-6) * exact(self, amplitudes, particle))
+    exact = diagnostics._CountBasis.weighted
+    monkeypatch.setattr(diagnostics._CountBasis, "weighted",
+                        lambda self, values: (1.0 + 1e-6) * exact(self, values))
     report = operator_algebra_suite(proj, 2, seed=0)
     assert "dense-weight-matches-tensor" in report.failures()
 

@@ -246,7 +246,7 @@ def test_series_centre_absorbs_a_large_constant_field(monkeypatch, m, wavenumber
     applies = []
     apply = DiscreteHamiltonian.apply
     monkeypatch.setattr(DiscreteHamiltonian, "apply",
-                        lambda self, v: applies.append(1) or apply(self, v))
+                        lambda self, v, *, out=None: applies.append(1) or apply(self, v, out=out))
     dt = 1e-3
     counts = []
     for amplitude in (1e6, 0.0):

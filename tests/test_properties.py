@@ -537,6 +537,94 @@ def test_count_algebra_matches_kronecker_oracle(n_and_m, box_length, seed):
             <= 1e-12 * np.linalg.norm(weighted))
 
 
+def reference_with_zero_head(rng: np.random.Generator, lattice: Lattice2D,
+                             zero_head: bool) -> np.ndarray:
+    phi = random_field(rng, lattice)
+    if zero_head:
+        phi[0, 0] = 0.0
+        phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2)) * lattice.spacing ** 2)
+    return phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_and_m=st.sampled_from([(n, m) for n in (2, 3) for m in (3, 4)]),
+       box_length=st.floats(0.5, 4.0),
+       kind=st.sampled_from(["product", "one-outside", "symmetric", "any"]),
+       zero_head=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_count_probabilities_are_nonnegative_and_sum_to_the_norm(
+        n_and_m, box_length, kind, zero_head, seed):
+    """P(k) is a sum of squares in the count basis: never negative, also
+    where it vanishes exactly (a product of the reference field has P(k) = 0
+    for k >= 1, one factor outside it P(k) = 0 for k >= 2), and summing to
+    the squared norm. The Householder reflection is its own inverse and maps
+    the reference field to a unit multiple of e_0, also when phi_0 = 0."""
+    n, m = n_and_m
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    projector = CondensateProjector(lattice, reference_with_zero_head(rng, lattice, zero_head))
+    flat, d = projector.phi.ravel(), lattice.d
+    if kind == "symmetric":
+        state = symmetric_state(rng, lattice, n)
+    elif kind == "any":
+        raw = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+        state = FewBodyState(lattice, raw).normalized()
+    else:
+        last = flat if kind == "product" else rng.normal(size=d) + 1j * rng.normal(size=d)
+        state = FewBodyState(lattice, functools.reduce(np.multiply.outer,
+                                                       [flat] * (n - 1) + [last])).normalized()
+    distribution = diagnostics.number_expectations(state, projector).distribution
+    assert np.all(distribution >= 0.0), distribution
+    assert abs(float(np.sum(distribution)) - state.norm() ** 2) <= 1e-14
+
+    basis = diagnostics._count_basis(state.amplitudes, projector)
+    image = diagnostics._reflect(flat * math.sqrt(projector.cell), basis.vector, basis.beta)
+    assert abs(abs(image[0]) - 1.0) <= 1e-14
+    assert np.max(np.abs(image[1:])) <= 1e-14
+    probe = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+    twice = diagnostics._reflect(diagnostics._reflect(probe.copy(), basis.vector, basis.beta),
+                                 basis.vector, basis.beta)
+    assert np.max(np.abs(twice - probe)) <= 1e-14 * np.max(np.abs(probe))
+
+
+def kronecker_weight_action(projector: CondensateProjector, values: np.ndarray,
+                            amplitudes: np.ndarray) -> np.ndarray:
+    """sum_k w(k) P_k on the C-order ravel of amplitudes, from Kronecker
+    products of p_matrix and q_matrix: the dense `_dense_weight` matrix up to
+    dimension 1024, else the same products applied factor by factor (the
+    dense matrix at (N, m) = (3, 4) would take 268 MB)."""
+    n, flat = amplitudes.ndim, amplitudes.ravel()
+    if projector.lattice.d ** n <= 1024:
+        return diagnostics._dense_weight(projector, values) @ flat
+    p, q = projector.p_matrix, projector.q_matrix
+    return sum(values[k] * diagnostics._kron_left([q if j in subset else p for j in range(n)],
+                                                  flat[:, None])[:, 0]
+               for k in range(n + 1) for subset in itertools.combinations(range(n), k))
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (2, 4), (3, 3), (3, 4)])
+@pytest.mark.parametrize("zero_head", [False, True])
+def test_count_route_matches_the_kronecker_oracle_on_strided_inputs(n, m, zero_head):
+    """count_components and apply_weight equal the Kronecker oracle to 1e-12
+    on contiguous amplitudes and on strided views of them."""
+    rng = np.random.default_rng(100 * n + m)
+    lattice = Lattice2D(m, 1.3)
+    projector = CondensateProjector(lattice, reference_with_zero_head(rng, lattice, zero_head))
+    d = lattice.d
+    raw = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+    original = raw.copy()
+    weight = WeightFunction(rng.uniform(-1.0, 1.0, n + 1))
+    for amplitudes in (raw, np.moveaxis(raw, 0, -1), raw.T, raw[::-1]):
+        scale = np.linalg.norm(amplitudes)
+        for k, part in enumerate(count_components(amplitudes, projector)):
+            oracle = kronecker_weight_action(projector, np.eye(n + 1)[k], amplitudes)
+            assert part.shape == amplitudes.shape
+            assert np.linalg.norm(part.ravel() - oracle) <= 1e-12 * scale
+        oracle = kronecker_weight_action(projector, weight.values, amplitudes)
+        assert (np.linalg.norm(apply_weight(amplitudes, projector, weight).ravel() - oracle)
+                <= 1e-12 * scale)
+    assert np.array_equal(raw, original)
+
 
 def per_function_report(state: FewBodyState, projector: CondensateProjector, interaction,
                         coupling: float, field, micro, xi: float) -> dict:
@@ -627,10 +715,11 @@ def test_snapshot_report_matches_the_per_function_composition(
 
 
 def test_snapshot_report_runs_one_count_pass_and_one_energy(monkeypatch):
-    """One report runs count_components once, energy_per_particle once,
-    builds one Hamiltonian when none is given (none when one is) and samples
-    the depletion profile once, with the correction in use."""
-    calls = {"count_components": 0, "energy_per_particle": 0, "build_hamiltonian": 0,
+    """One report reflects the state into the count basis once, runs
+    energy_per_particle once, builds one Hamiltonian when none is given
+    (none when one is) and samples the depletion profile once, with the
+    correction in use."""
+    calls = {"_count_basis": 0, "energy_per_particle": 0, "build_hamiltonian": 0,
              "g_evaluate": 0}
 
     def counted(name, fn):
@@ -639,7 +728,7 @@ def test_snapshot_report_runs_one_count_pass_and_one_energy(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("count_components", "energy_per_particle", "build_hamiltonian"):
+    for name in ("_count_basis", "energy_per_particle", "build_hamiltonian"):
         monkeypatch.setattr(diagnostics, name, counted(name, getattr(diagnostics, name)))
     lattice = Lattice2D(4, 1.0)
     rng = np.random.default_rng(3)
@@ -650,12 +739,12 @@ def test_snapshot_report_runs_one_count_pass_and_one_energy(monkeypatch):
     interaction = lambda r: 2.0 * np.exp(-(r / 0.3) ** 2)
     report = diagnostics_report(state, projector, interaction, 1.0, None, micro)
     assert report.used_correction
-    assert calls == {"count_components": 1, "energy_per_particle": 1, "build_hamiltonian": 1,
+    assert calls == {"_count_basis": 1, "energy_per_particle": 1, "build_hamiltonian": 1,
                      "g_evaluate": 1}
     hamiltonian = build_hamiltonian(lattice, 3, interaction)
     calls.update(dict.fromkeys(calls, 0))
     diagnostics_report(state, projector, interaction, 1.0, None, micro, hamiltonian=hamiltonian)
-    assert calls == {"count_components": 1, "energy_per_particle": 1, "build_hamiltonian": 0,
+    assert calls == {"_count_basis": 1, "energy_per_particle": 1, "build_hamiltonian": 0,
                      "g_evaluate": 1}
 
 
