@@ -819,7 +819,7 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
     record("weight-commutes-p", norm(mhat(p(probe, 0)) - p(mhat(probe), 0)))
     record("weight-commutes-q", norm(mhat(q(probe, n - 1)) - q(mhat(probe), n - 1)))
     k_pick = int(rng.integers(0, n + 1))
-    proj_k = count_components(probe, projector)[k_pick]
+    proj_k = parts[k_pick]
     record("weight-commutes-count-projection",
            norm(mhat(proj_k) - count_components(mhat(probe), projector)[k_pick]))
 

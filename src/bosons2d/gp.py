@@ -10,19 +10,25 @@ stability) is the only dt constraint, monitored through the energy.
 One private splitting, `_strang`, applies exp(-z H) in this order for a
 complex time z: z = i dt is the real-time step of `step` and of the lattice
 mean-field surrogate `diagnostics.mean_field_step`, and a real z = tau is the
-normalized gradient-flow step of `ground_state`. `propagate` hands the
-initial state and each stepped state to an optional observer; the `gp`
-scenario samples its CSV rows that way.
+normalized gradient-flow step of `ground_state`. For a real tau every factor
+of the splitting is real, so a real seed descends in real arithmetic, on
+rfft2 / irfft2 and a half-spectrum energy. `propagate` hands the initial
+state and each stepped state to an optional observer; the `gp` scenario
+samples its CSV rows that way.
 
 Nothing a step cannot change is rebuilt per step. The kinetic factor
 exp(-z |k|^2) comes from `Lattice2D.kinetic_factor(z)`, cached per (lattice,
-z) and read-only. The field is a closed form A(x, y, t), and its table A_t
-is read through a one-entry memo on the `ExternalField`, keyed on the grid
-and the exact float time, so a step's end table is the next step's start
-table and an energy at the current time costs no evaluation; the memoized
-table is read-only, and the field must be a pure function of (x, y, t).
-Both caches return the very arrays the uncached code
-would build, so every result keeps its bits.
+z) and read-only, and the coordinate meshes the field is evaluated on from
+`Lattice2D.meshes()`, cached per lattice and read-only. The field is a
+closed form A(x, y, t), and its table A_t is read through a one-entry memo
+on the `ExternalField`, keyed on the grid and the exact float time, so a
+step's end table is the next step's start table and an energy at the current
+time costs no evaluation; the memoized table is read-only, and the field
+must be a pure function of (x, y, t). The caches return the very arrays the
+uncached code would build, so every result keeps its bits. The real-time
+half-step phase exp(-i dt/2 V) is written as cos + i sin of (-dt/2) V into
+one complex buffer: the bits of the complex exponential without its complex
+multiply and complex exp.
 
 The kinetic symbol carries no 1/2: the Laplacian enters the equation bare,
 which fixes the free dispersion at |k|^2 and the Gaussian spreading law used
@@ -78,9 +84,14 @@ class Lattice2D:
     def axis(self) -> np.ndarray:
         return np.arange(self.m) * self.spacing
 
+    @functools.lru_cache(maxsize=32)
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only coordinate tables (x, y), indexed [i, j], built once per lattice."""
         ax = self.axis()
-        return np.meshgrid(ax, ax, indexing="ij")
+        xx, yy = np.meshgrid(ax, ax, indexing="ij")
+        xx.flags.writeable = False
+        yy.flags.writeable = False
+        return xx, yy
 
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * math.pi * np.fft.fftfreq(self.m, d=self.spacing)
@@ -211,12 +222,41 @@ class GpParams:
 def _strang(psi: np.ndarray, lattice: Lattice2D, coupling: float, a_now: np.ndarray,
             a_next: np.ndarray, z: complex) -> np.ndarray:
     """exp(-z H) by Strang splitting: half phase under a_now, kinetic factor
-    exp(-z |k|^2), half phase under a_next and the updated density."""
-    psi = psi * np.exp(-0.5 * z * (a_now + coupling * np.abs(psi) ** 2))
-    psi_hat = scipy.fft.fft2(psi)
-    psi_hat *= lattice.kinetic_factor(z)
-    psi = scipy.fft.ifft2(psi_hat)
-    return psi * np.exp(-0.5 * z * (a_next + coupling * np.abs(psi) ** 2))
+    exp(-z |k|^2), half phase under a_next and the updated density.
+
+    z is either purely imaginary (z = i dt, a real-time step) or real
+    (z = tau, a gradient-flow step). For a real z and a real psi every factor
+    is real and exp(-tau |k|^2) is even in k, so the step runs on rfft2 /
+    irfft2 with the half-spectrum columns of the kinetic factor and returns a
+    real field; any other pair takes the complex transforms.
+    """
+    psi = _half_phase(psi, -0.5 * z, a_now + coupling * np.abs(psi) ** 2)
+    if np.isrealobj(psi):
+        psi_hat = scipy.fft.rfft2(psi)
+        psi_hat *= lattice.kinetic_factor(z)[:, : lattice.m // 2 + 1]
+        psi = scipy.fft.irfft2(psi_hat, s=psi.shape)
+    else:
+        psi_hat = scipy.fft.fft2(psi)
+        psi_hat *= lattice.kinetic_factor(z)
+        psi = scipy.fft.ifft2(psi_hat)
+    return _half_phase(psi, -0.5 * z, a_next + coupling * np.abs(psi) ** 2)
+
+
+def _half_phase(psi: np.ndarray, w: complex, potential: np.ndarray) -> np.ndarray:
+    """psi * exp(w * potential) for a real w or a purely imaginary w.
+
+    For w = -i dt/2 the complex product w * potential has real part +-0 and
+    imaginary part exactly w.imag * potential, and exp(+-0 + iy) is
+    cos y + i sin y, so one cos and one sin pass into a single complex
+    buffer give the bits of the complex exponential.
+    """
+    if np.isrealobj(w):
+        return psi * np.exp(w * potential)
+    x = w.imag * potential
+    factor = np.empty(x.shape, dtype=np.complex128)
+    np.cos(x, out=factor.real)
+    np.sin(x, out=factor.imag)
+    return np.multiply(psi, factor, out=factor)
 
 
 def _field_table(field: ExternalField, grid: Grid2D, t: float) -> np.ndarray:
@@ -283,8 +323,16 @@ def _mean_field_energy(psi: np.ndarray, lattice: Lattice2D, coupling: float,
                        a_now: np.ndarray) -> float:
     """Energy of a field on a periodic lattice under the external table a_now."""
     cell = lattice.spacing ** 2
-    psi_hat = scipy.fft.fft2(psi)
-    kinetic = float(np.sum(lattice.kinetic_symbol() * np.abs(psi_hat) ** 2)) * cell / lattice.d
+    symbol = lattice.kinetic_symbol()
+    if np.isrealobj(psi):
+        # rfft2 keeps columns 0 .. m // 2; every other column also stands for
+        # its mirror m - j, except column 0 and, for even m, column m / 2.
+        power = np.abs(scipy.fft.rfft2(psi)) ** 2
+        power[:, 1:(lattice.m + 1) // 2] *= 2.0
+        symbol = symbol[:, : lattice.m // 2 + 1]
+    else:
+        power = np.abs(scipy.fft.fft2(psi)) ** 2
+    kinetic = float(np.sum(symbol * power)) * cell / lattice.d
     density = np.abs(psi) ** 2
     potential = float(np.sum((a_now + 0.5 * coupling * density) * density)) * cell
     return kinetic + potential
@@ -296,31 +344,45 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
 
     Normalized gradient-flow steps, `_strang` at real z = tau; a step
     that fails to decrease the energy is rejected and retried at half the
-    step size, and a step size collapsing below 1e-14 raises RuntimeError
-    with the descent record.
+    step size. A seed whose imaginary part is identically zero descends in
+    real arithmetic (every factor of the splitting is real, so the field
+    stays real) and returns a state with imaginary part exactly 0; any other
+    seed descends in complex arithmetic. A step size collapsing below 1e-14,
+    or max_steps iterations without convergence, raises RuntimeError with
+    the descent record: iterations, accepted and rejected steps, the last
+    energy and gain, and the current step size.
     """
     grid = seed.grid
     a_now = _field_table(field, grid, 0.0)
     psi = seed.normalized().amplitudes
+    if not psi.imag.any():
+        psi = np.ascontiguousarray(psi.real)
     tau = params.dt
     energy = _mean_field_energy(psi, grid, params.coupling, a_now)
+    gain, rejected = math.nan, 0
+
+    def record(iterations: int) -> str:
+        return (f"{iterations} iterations ({iterations - rejected} accepted, {rejected} "
+                f"rejected), energy {energy:.12e}, last gain {gain:.3e}, step size {tau:.3e}")
+
     for iteration in range(int(max_steps)):
         candidate = _strang(psi, grid, params.coupling, a_now, a_now, tau)
         candidate /= math.sqrt(float(np.sum(np.abs(candidate) ** 2)) * grid.spacing ** 2)
         e_new = _mean_field_energy(candidate, grid, params.coupling, a_now)
-        if e_new > energy:
+        if not e_new <= energy:  # a rise, or a NaN from an overflowing step
             tau *= 0.5
+            rejected += 1
             if tau < 1e-14:
-                raise RuntimeError(
-                    f"imaginary-time descent stalled after {iteration} accepted steps: "
-                    f"energy {energy:.12e}, step size underflowed")
+                raise RuntimeError("imaginary-time descent stalled, step size underflowed "
+                                   f"after {record(iteration + 1)}")
             continue
         psi, gain = candidate, energy - e_new
         energy = e_new
         if gain < energy_tol:
             break
     else:
-        raise RuntimeError(f"imaginary-time descent did not converge in {max_steps} steps")
+        raise RuntimeError(f"imaginary-time descent did not converge in {max_steps} steps: "
+                           f"{record(int(max_steps))}")
     return GpState(grid, psi, 0.0)
 
 

@@ -73,6 +73,8 @@ class _RadialMoments:
     _offsets: np.ndarray = dataclasses.field(repr=False, default=None)
     _cum_charge: np.ndarray = dataclasses.field(repr=False, default=None)
     _cum_log: np.ndarray = dataclasses.field(repr=False, default=None)
+    _knot_gamma: np.ndarray = dataclasses.field(repr=False, default=None)
+    _knot_lambda: np.ndarray = dataclasses.field(repr=False, default=None)
 
     @staticmethod
     def from_potential(potential: RadialPotential) -> "_RadialMoments":
@@ -89,8 +91,11 @@ class _RadialMoments:
         offsets = vals[:-1] - slopes * kn[:-1]
         q_pieces = (offsets * (kn[1:] ** 2 - kn[:-1] ** 2) / 2.0
                     + slopes * (kn[1:] ** 3 - kn[:-1] ** 3) / 3.0)
-        l_pieces = (offsets * (_gamma_moment(kn[1:]) - _gamma_moment(kn[:-1]))
-                    + slopes * (_lambda_moment(kn[1:]) - _lambda_moment(kn[:-1])))
+        gam = _gamma_moment(kn)
+        lam = _lambda_moment(kn)
+        l_pieces = offsets * (gam[1:] - gam[:-1]) + slopes * (lam[1:] - lam[:-1])
+        object.__setattr__(m, "_knot_gamma", gam)
+        object.__setattr__(m, "_knot_lambda", lam)
         object.__setattr__(m, "_slopes", slopes)
         object.__setattr__(m, "_offsets", offsets)
         object.__setattr__(m, "_cum_charge", np.concatenate([[0.0], np.cumsum(q_pieces)]))
@@ -114,10 +119,9 @@ class _RadialMoments:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xc = np.clip(x, 0.0, self.knots[-1])
         i = self._piece_index(xc)
-        kn = np.asarray(self.knots)
         return (self._cum_log[i]
-                + self._offsets[i] * (_gamma_moment(xc) - _gamma_moment(kn[i]))
-                + self._slopes[i] * (_lambda_moment(xc) - _lambda_moment(kn[i])))
+                + self._offsets[i] * (_gamma_moment(xc) - self._knot_gamma[i])
+                + self._slopes[i] * (_lambda_moment(xc) - self._knot_lambda[i]))
 
     @property
     def total_charge(self) -> float:
@@ -347,9 +351,11 @@ def make_smeared(w_beta: ScaledPotential, beta1: float) -> tuple[ScaledPotential
         rc = np.minimum(np.asarray(r, dtype=float), r_u)
         return u_val * rc * rc / 2.0
 
+    gamma_u = _gamma_moment(np.array([r_u]))[0]
+
     def tail_log_u(r: np.ndarray) -> np.ndarray:
         rc = np.minimum(np.asarray(r, dtype=float), r_u)
-        return u_val * (_gamma_moment(np.array([r_u]))[0] - _gamma_moment(rc))
+        return u_val * (gamma_u - _gamma_moment(rc))
 
     def h_evaluate(r: np.ndarray | float) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))

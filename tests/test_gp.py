@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from bosons2d import gp
 from bosons2d.gp import (
     ExternalField,
     GpParams,
@@ -222,13 +224,17 @@ def test_ground_state_uniform_interacting():
     assert energy >= target - 1e-12
 
 
-def test_ground_state_trapped_is_stationary():
+def trapped_ground_state() -> tuple[GpState, ExternalField, GpParams]:
     grid = Grid2D(64, 8.0)
     field = cosine_field(grid, ax=0.5, ay=0.5)
     params = GpParams(coupling=4.0 * math.pi, dt=0.01)
-    seed = gaussian_state(grid, 1.2)
-    gs = ground_state(field, params, seed, energy_tol=1e-13)
-    e_seed = gp_energy(seed, field, params)
+    return ground_state(field, params, gaussian_state(grid, 1.2), energy_tol=1e-13), field, params
+
+
+def test_ground_state_trapped_is_stationary():
+    gs, field, params = trapped_ground_state()
+    grid = gs.grid
+    e_seed = gp_energy(gaussian_state(grid, 1.2), field, params)
     e_gs = gp_energy(gs, field, params)
     assert e_gs < e_seed
     stepper = GpParams(coupling=params.coupling, dt=1e-3)
@@ -239,11 +245,122 @@ def test_ground_state_trapped_is_stationary():
     assert residual < 1e-6
 
 
+def test_ground_state_leaves_a_small_eigen_residual():
+    """||H psi - mu psi|| with mu = <psi, H psi> and H = -Laplacian + A + b|psi|^2.
+
+    The descent stops at a fixed point of the split, normalized step, not of
+    H itself, so the residual is the splitting's bias and not the stopping
+    tolerance: on this set-up it measured 5.86e-4 at tau = 0.01, 2.88e-4 at
+    0.005 and 1.43e-4 at 0.0025 (about 0.059 tau), and energy_tol = 1e-11,
+    1e-13 and 1e-15 all left 5.86e-4. The bound 0.1 tau sits 1.7 times above
+    the measurement; a descent that stopped short or stepped a wrong energy
+    lands orders of magnitude higher.
+    """
+    gs, field, params = trapped_ground_state()
+    grid, psi = gs.grid, gs.amplitudes
+    cell = grid.spacing ** 2
+    h_psi = (scipy.fft.ifft2(grid.kinetic_symbol() * scipy.fft.fft2(psi))
+             + (field.evaluate(grid, 0.0) + params.coupling * np.abs(psi) ** 2) * psi)
+    mu = np.vdot(psi, h_psi).real * cell
+    residual = math.sqrt(float(np.sum(np.abs(h_psi - mu * psi) ** 2)) * cell)
+    assert residual < 0.1 * params.dt
+
+
+def complex_descent(field: ExternalField, params: GpParams, seed: GpState,
+                    energy_tol: float) -> tuple[np.ndarray, list[float]]:
+    """The normalized gradient flow in complex arithmetic throughout: fft2
+    Strang steps and fft2 energies. Returns the state and every step size
+    tried, so that the accepted and rejected steps can be compared."""
+    grid = seed.grid
+    cell = grid.spacing ** 2
+    k2 = grid.kinetic_symbol()
+    a = field.evaluate(grid, 0.0)
+    b = params.coupling
+
+    def energy(psi: np.ndarray) -> float:
+        density = np.abs(psi) ** 2
+        kinetic = float(np.sum(k2 * np.abs(scipy.fft.fft2(psi)) ** 2)) * cell / grid.d
+        return kinetic + float(np.sum((a + 0.5 * b * density) * density)) * cell
+
+    psi = seed.normalized().amplitudes
+    tau, e_now, taus = params.dt, energy(psi), []
+    while True:
+        taus.append(tau)
+        cand = psi * np.exp(-0.5 * tau * (a + b * np.abs(psi) ** 2))
+        cand = scipy.fft.ifft2(scipy.fft.fft2(cand) * np.exp(-tau * k2))
+        cand = cand * np.exp(-0.5 * tau * (a + b * np.abs(cand) ** 2))
+        cand /= math.sqrt(float(np.sum(np.abs(cand) ** 2)) * cell)
+        e_new = energy(cand)
+        if e_new > e_now:
+            tau *= 0.5
+            continue
+        psi, gain, e_now = cand, e_now - e_new, e_new
+        if gain < energy_tol:
+            return psi, taus
+
+
+def test_real_seed_descends_in_real_arithmetic(monkeypatch):
+    """A real seed matches the complex-arithmetic descent step for step and
+    returns an imaginary part that is exactly 0; a seed e^(i theta) times the
+    real one takes the complex path and returns e^(i theta) times that state.
+    The set-up rejects three steps on the way down."""
+    grid = Grid2D(32, 4.0)
+    field = cosine_field(grid)
+    params = GpParams(coupling=300.0, dt=0.2)
+    seed = gaussian_state(grid, 0.1)
+    oracle, oracle_taus = complex_descent(field, params, seed, 1e-10)
+
+    taus = []
+    strang = gp._strang
+    monkeypatch.setattr(gp, "_strang",
+                        lambda *args: taus.append(args[-1]) or strang(*args))
+    gs = ground_state(field, params, seed, energy_tol=1e-10)
+    assert taus == oracle_taus
+    assert sum(b < a for a, b in zip(taus, taus[1:])) == 3
+    assert not gs.amplitudes.imag.any()
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(gs.amplitudes - oracle)) <= 1e-12 * scale
+
+    taus.clear()
+    turn = np.exp(0.7j)
+    turned = ground_state(field, params, GpState(grid, turn * seed.amplitudes), energy_tol=1e-10)
+    assert len(taus) == len(oracle_taus)
+    assert np.max(np.abs(turned.amplitudes - turn * gs.amplitudes)) <= 1e-10 * scale
+
+
 def test_ground_state_reports_non_convergence():
     grid = Grid2D(32, 4.0)
     params = GpParams(coupling=4.0 * math.pi, dt=1e-4)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"did not converge in 3 steps: 3 iterations "
+                       r"\(3 accepted, 0 rejected\), energy \S+, last gain \S+, step size 1\.000e-04"):
         ground_state(cosine_field(grid), params, gaussian_state(grid, 0.5), max_steps=3)
+
+
+def test_ground_state_reports_a_stalled_descent(monkeypatch):
+    """An energy that rises on every candidate halves the step size down to
+    the 1e-14 floor, which 0.25 * 2^-45 is the first to pass."""
+    grid = Grid2D(16, 4.0)
+    energies = iter(range(1000))
+    monkeypatch.setattr(gp, "_mean_field_energy", lambda *args: float(next(energies)))
+    with pytest.raises(RuntimeError, match=r"stalled, step size underflowed after 45 "
+                       r"iterations \(0 accepted, 45 rejected\), energy 0\.0+e\+00, "
+                       r"last gain nan, step size 7\.105e-15"):
+        ground_state(cosine_field(grid), GpParams(coupling=1.0, dt=0.25),
+                     gaussian_state(grid, 0.5))
+
+
+def test_ground_state_rejects_an_overflowing_step():
+    """A first step so large that the phase overflows gives a NaN energy;
+    the descent rejects it and goes on at smaller steps instead of accepting
+    NaN until max_steps runs out."""
+    grid = Grid2D(32, 4.0)
+    field = cosine_field(grid, ax=20.0)
+    params = GpParams(coupling=100.0, dt=4.0)
+    with np.errstate(all="ignore"):
+        gs = ground_state(field, params, gaussian_state(grid, 0.2), energy_tol=1e-10,
+                          max_steps=200)
+    assert np.all(np.isfinite(gs.amplitudes))
+    assert math.isfinite(gp_energy(gs, field, params))
 
 
 # --------------------------------------------------------------- diagnostics

@@ -84,12 +84,15 @@ def dense_minus_laplacian(m: int, box_length: float) -> np.ndarray:
 @given(m=st.integers(2, 9),
        box_length=st.floats(0.25, 8.0),
        coupling=st.floats(0.0, 20.0),
+       real=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_mean_field_energy_matches_dense_oracle(m, box_length, coupling, seed):
+def test_mean_field_energy_matches_dense_oracle(m, box_length, coupling, real, seed):
+    """A real phi takes the energy's rfft2 branch, whose half spectrum counts
+    a mirrored column twice: odd m has no unpaired Nyquist column."""
     rng = np.random.default_rng(seed)
     lattice = Lattice2D(m, box_length)
     cell = lattice.spacing ** 2
-    phi = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    phi = rng.normal(size=(m, m)) + (0.0 if real else 1j * rng.normal(size=(m, m)))
     phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2)) * cell)
     field = rng.uniform(-5.0, 5.0, size=(m, m))
 
@@ -102,10 +105,10 @@ def test_mean_field_energy_matches_dense_oracle(m, box_length, coupling, seed):
     assert mean_field_energy(phi, lattice, coupling, field) \
         == pytest.approx(kinetic + local, rel=1e-12, abs=1e-12 * scale)
 
-    symbol = lattice.kinetic_symbol()
-    assert not symbol.flags.writeable
-    with pytest.raises(ValueError):
-        symbol[0, 0] = 1.0
+    for table in (lattice.kinetic_symbol(), *lattice.meshes()):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 def random_field(rng: np.random.Generator, lattice: Lattice2D) -> np.ndarray:
@@ -121,6 +124,27 @@ def both_steppers(phi: np.ndarray, m: int, box_length: float, coupling: float,
     grid_step = step(GpState(Grid2D(m, box_length), phi), static,
                      GpParams(coupling, dt=abs(dt)), dt=dt).amplitudes
     return grid_step, mean_field_step(phi, Lattice2D(m, box_length), coupling, table, dt=dt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 9),
+       box_length=st.floats(0.25, 8.0),
+       coupling=st.floats(0.0, 20.0),
+       dt=st.floats(1e-4, 5e-2).flatmap(lambda v: st.sampled_from([v, -v])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mean_field_step_of_a_real_field_is_the_complex_step(m, box_length, coupling, dt,
+                                                             seed):
+    """A real phi with z = i dt takes the complex transforms: the bits of the
+    same field stored as complex."""
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    phi = rng.normal(size=(m, m))
+    table = rng.uniform(-5.0, 5.0, size=(m, m))
+    stepped = mean_field_step(phi, lattice, coupling, table, dt=dt)
+    assert stepped.dtype == np.complex128
+    assert np.array_equal(stepped.view(np.uint64),
+                          mean_field_step(phi.astype(np.complex128), lattice, coupling, table,
+                                          dt=dt).view(np.uint64))
 
 
 stepper_cases = dict(
