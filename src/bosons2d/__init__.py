@@ -4,9 +4,11 @@ Five coupled layers: microscopic zero-energy scattering and the softened-pair
 construction (scattering), scaled potential families and log-smeared
 comparisons (potentials), mean-field propagation on a periodic grid (gp),
 exact few-boson lattice dynamics (fewbody), and condensation-counting
-diagnostics tying them together (diagnostics). The cli module exposes each
-layer as a reproducible experiment. The exported names are the ones the
-scenarios, the acceptance criteria and the benchmark use. The CLI names
+diagnostics tying them together (diagnostics). Each propagator has one
+engine: `gp_propagate` the Strang splitting, `fewbody_propagate` the
+Chebyshev series. The cli module exposes each layer as a reproducible
+experiment. The exported names are the ones the scenarios, the acceptance
+criteria and the benchmark use. The CLI names
 resolve on first use, so importing the package does not import `cli` and
 `python -m bosons2d.cli` runs that module once.
 """
@@ -18,7 +20,6 @@ from .scattering import (
     RadialPotential,
     ScatteringSolution,
     build_microscopic,
-    check_pair_positivity,
     coupling_deviation,
     g_norm_report,
     integral_I,
@@ -63,7 +64,6 @@ from .diagnostics import (
     RateComparison,
     WeightFunction,
     alpha_full,
-    alpha_less,
     counting_difference,
     counting_weight,
     ddt_weight_identity,
@@ -99,7 +99,6 @@ __all__ = [
     "RadialPotential",
     "ScatteringSolution",
     "build_microscopic",
-    "check_pair_positivity",
     "coupling_deviation",
     "g_norm_report",
     "integral_I",
@@ -137,7 +136,6 @@ __all__ = [
     "RateComparison",
     "WeightFunction",
     "alpha_full",
-    "alpha_less",
     "counting_difference",
     "counting_weight",
     "ddt_weight_identity",

@@ -10,7 +10,7 @@ functionals that, together with an energy gap and an optional short-range
 correlation correction, quantify how far the exact few-body dynamics strays
 from its mean-field surrogate. `diagnostics_report` computes all of them
 for one snapshot from one reflected copy of the state and one many-body
-energy; `alpha_less` and `alpha_full` read it. The module also
+energy, and `alpha_full` reads it. The module also
 provides the one-particle reduced density matrix and trace distance, an exact
 time-derivative identity relating the counting functional's rate to a
 commutator expectation, and a seeded verification suite for the projector
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from typing import Callable, Sequence
 
@@ -36,13 +35,12 @@ from .fewbody import (
     DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
-    _DENSE_LIMIT,
+    _dense_step,
     _on_particles,
     _pair_site_table,
     build_hamiltonian,
     dense_operator,
     energy_per_particle,
-    propagate,
 )
 from .gp import ExternalField, _mean_field_energy, _strang
 
@@ -64,8 +62,6 @@ __all__ = [
     "weight_expectation",
     "mean_field_energy",
     "mean_field_step",
-    "energy_gap",
-    "alpha_less",
     "AlphaFullResult",
     "alpha_full",
     "DiagnosticsReport",
@@ -414,28 +410,13 @@ def mean_field_step(phi: np.ndarray, lattice: Lattice2D, coupling: float,
     return _strang(phi, lattice, coupling, a_now, a_now, 1j * dt)
 
 
-def energy_gap(state: FewBodyState, projector: CondensateProjector,
-               interaction: Callable[[np.ndarray], np.ndarray] | None = None,
-               coupling: float = 0.0,
-               field: ExternalField | None = None,
-               hamiltonian: DiscreteHamiltonian | None = None) -> float:
-    """|many-body energy per particle - mean-field energy of the reference|.
-
-    The many-body energy is taken under hamiltonian when one is given (it
-    must live on the state's lattice and particle count), else under one
-    built from interaction and field at the state's time. The mean-field
-    term reads that Hamiltonian's field table, so both terms see one A;
-    with field=None it takes no field.
-    """
-    return _gap_at(state, projector, interaction, field, hamiltonian)(coupling)
-
-
 def _gap_at(state: FewBodyState, projector: CondensateProjector,
             interaction: Callable[[np.ndarray], np.ndarray] | None,
             field: ExternalField | None,
             hamiltonian: DiscreteHamiltonian | None) -> Callable[[float], float]:
-    """`energy_gap` as a function of the mean-field coupling, from one
-    many-body energy."""
+    """|many-body energy per particle - mean-field energy of the reference|
+    as a function of the mean-field coupling, from one many-body energy; the
+    Hamiltonian rules are those of `diagnostics_report`."""
     if hamiltonian is None:
         hamiltonian = build_hamiltonian(state.lattice, state.n_particles,
                                         interaction, field, t=state.time)
@@ -446,15 +427,6 @@ def _gap_at(state: FewBodyState, projector: CondensateProjector,
     a_now = None if field is None else hamiltonian.external_field
     return lambda coupling: abs(
         many - mean_field_energy(projector.phi, state.lattice, coupling, a_now))
-
-
-def alpha_less(state: FewBodyState, projector: CondensateProjector,
-               interaction: Callable[[np.ndarray], np.ndarray] | None = None,
-               coupling: float = 0.0, field: ExternalField | None = None,
-               xi: float = 0.25) -> float:
-    """Counting functional: weighted out-of-reference count plus energy gap."""
-    return diagnostics_report(state, projector, interaction, coupling, field,
-                              xi=xi).alpha_less
 
 
 def _projected_pair_terms(state: FewBodyState, projector: CondensateProjector
@@ -533,12 +505,6 @@ class DiagnosticsReport:
     correction_term: float
     used_correction: bool
 
-    def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["gamma1"] = {"real": np.real(self.gamma1).tolist(),
-                             "imag": np.imag(self.gamma1).tolist()}
-        return json.dumps(payload)
-
 
 def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
                        interaction: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -549,9 +515,13 @@ def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
 
     One reflection of the state into the count basis gives the count
     distribution and, with one reflection back, the correction's
-    pair-weighted vector; one many-body energy, under hamiltonian or one
-    built as in `energy_gap`, serves every gap. The plain counting functional
-    uses the supplied coupling. With micro given, the correlation-corrected
+    pair-weighted vector; one many-body energy serves every gap. It is taken
+    under hamiltonian when one is given (it must live on the state's lattice
+    and particle count), else under one built from interaction and field at
+    the state's time. The mean-field term reads that Hamiltonian's field
+    table, so both terms see one A; with field=None it takes no field. The
+    energy gap and the plain counting functional (alpha_less) use the
+    supplied coupling. With micro given, the correlation-corrected
     functional is evaluated at the fixed effective coupling of the
     exponential scaling; the correction is dropped when the lattice cannot
     resolve the depletion profile.
@@ -612,6 +582,13 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     under the lattice pair Hamiltonian, the reference field under the
     cubic mean-field flow with the same static external table, so the
     identity is exact up to the O(dt^2) differencing error.
+
+    The state steps by the cached eigendecomposition of `dense_matrix`, so
+    the dimension d^N may not exceed 4096 (`dense_matrix` raises above it).
+    The Chebyshev series of `propagate` would take a different number of
+    terms at each dt, and the benchmark's traced `algebra_verify`, which
+    cycles dt through 2e-4, 1e-4 and 5e-5, requires every pass to repeat
+    the counts of the first.
     """
     n = state.n_particles
     if n < 2:
@@ -624,11 +601,10 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     cell_n = projector.cell ** n
     hamiltonian = build_hamiltonian(lattice, n, interaction, field,
                                     t=state.time)
-    method = "dense" if lattice.d ** n <= _DENSE_LIMIT else "auto"
     weight = counting_weight(n, xi)
 
     def expectation(shifted: float) -> float:
-        moved = propagate(state, hamiltonian, shifted, method=method)
+        moved = FewBodyState(lattice, _dense_step(hamiltonian, state.amplitudes, shifted))
         phi_t = mean_field_step(projector.phi, lattice, coupling,
                                 hamiltonian.external_field, dt=shifted)
         return weight_expectation(moved, CondensateProjector(lattice, phi_t),
@@ -698,23 +674,6 @@ class OperatorAlgebraReport:
 
     def failures(self) -> tuple[str, ...]:
         return tuple(check.name for check in self.checks if not check.passed)
-
-    def tap(self) -> str:
-        lines = [f"1..{len(self.checks)}"]
-        for i, check in enumerate(self.checks, 1):
-            status = "ok" if check.passed else "not ok"
-            lines.append(f"{status} {i} - {check.name} "
-                         f"(defect={check.defect:.3e}, seed={self.seed})")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_particles": self.n_particles,
-            "lattice_m": self.lattice_m,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [dataclasses.asdict(check) for check in self.checks],
-        })
 
 
 def _dense_weight(projector: CondensateProjector,

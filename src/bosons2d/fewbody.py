@@ -6,13 +6,13 @@ Hamiltonian applies a spectral single-particle Laplacian (so lattice plane
 waves are exact eigenstates), a pairwise interaction sampled at periodic
 minimum-image displacements, and an external per-site field. The spectral
 symbol is a sum of a row and a column part, so the kinetic action is one
-real m x m circulant product along each of the 2N site axes. Propagation is
-the Chebyshev series of the matrix exponential over an exact bound of the
-spectrum; small problems (dimension <= 4096) may instead use a cached real
-eigendecomposition of the dense real symmetric matrix. That matrix is
-assembled from Kronecker sums of the two-dimensional kinetic circulant plus
-the diagonal potential, not from the matrix-free action, so it also checks
-that action independently.
+real m x m circulant product along each of the 2N site axes. `propagate`
+runs the Chebyshev series of the matrix exponential over an exact bound of
+the spectrum. Up to dimension 4096 `dense_matrix` gives the dense real
+symmetric matrix, assembled from Kronecker sums of the two-dimensional
+kinetic circulant plus the diagonal potential, not from the matrix-free
+action, so it checks that action independently; `_dense_step`, a cached real
+eigendecomposition of it, serves only `diagnostics.ddt_weight_identity`.
 
 Layout: particle j is axis j of the (d,)^N amplitude tensor, and site
 (i, k) of an (m, m) table is index i m + k along it. The kinetic action
@@ -31,7 +31,7 @@ import numpy as np
 import scipy.fft
 import scipy.special
 
-from .gp import ExternalField, Lattice2D, _read_tensor, _write_tensor
+from .gp import ExternalField, Lattice2D
 
 __all__ = [
     "Lattice2D",
@@ -44,13 +44,10 @@ __all__ = [
     "jastrow_initial_state",
     "dense_operator",
     "dense_matrix",
-    "write_fewbody_checkpoint",
-    "read_fewbody_checkpoint",
 ]
 
 DIMENSION_BUDGET = 1 << 22
 _DENSE_LIMIT = 4096
-_AUTO_DENSE_LIMIT = 1024
 _MAX_SERIES_TERMS = 10_000
 _SERIES_TOL = 1e-16
 _SPECTRAL_PAD = 1e-12
@@ -148,8 +145,11 @@ class DiscreteHamiltonian:
         if dim > DIMENSION_BUDGET:
             raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")
         for name in ("kinetic_symbol", "interaction_table", "external_field"):
-            if np.iscomplexobj(getattr(self, name)):
+            table = getattr(self, name)
+            if np.iscomplexobj(table):
                 raise ValueError(f"{name} must be real, got a complex table")
+            if not np.isfinite(table).all():
+                raise ValueError(f"{name} must be finite, got {table[~np.isfinite(table)][0]}")
         if np.any(self.interaction_table < 0):
             raise ValueError("interaction samples must be nonnegative")
         symbol = self.kinetic_symbol
@@ -346,26 +346,14 @@ def _chebyshev_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
     return out
 
 
-def propagate(state: FewBodyState, hamiltonian: DiscreteHamiltonian, dt: float,
-              method: str = "auto") -> FewBodyState:
-    """Advance by dt under the (time-frozen) Hamiltonian.
-
-    method "auto" picks the cached dense eigendecomposition for dimensions
-    up to 1024 and the Chebyshev series otherwise; "dense" and "chebyshev"
-    force the choice. The series raises a RuntimeError when it would need
-    more than 10 000 terms, about |dt| times the spectral half-width.
-    """
+def propagate(state: FewBodyState, hamiltonian: DiscreteHamiltonian,
+              dt: float) -> FewBodyState:
+    """Advance by dt under the (time-frozen) Hamiltonian, by the Chebyshev
+    series; it raises a RuntimeError when a step would need more than
+    10 000 terms, about |dt| times the spectral half-width."""
     if state.lattice != hamiltonian.lattice or state.n_particles != hamiltonian.n_particles:
         raise ValueError("state and Hamiltonian live on different spaces")
-    dim = state.lattice.d ** state.n_particles
-    if method == "auto":
-        method = "dense" if dim <= _AUTO_DENSE_LIMIT else "chebyshev"
-    if method == "dense":
-        amp = _dense_step(hamiltonian, state.amplitudes, float(dt))
-    elif method == "chebyshev":
-        amp = _chebyshev_step(hamiltonian, state.amplitudes, float(dt))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    amp = _chebyshev_step(hamiltonian, state.amplitudes, float(dt))
     return FewBodyState(state.lattice, amp, state.time + float(dt))
 
 
@@ -417,21 +405,3 @@ def jastrow_initial_state(phi: np.ndarray, pair, lattice: Lattice2D,
     state = FewBodyState(lattice, amp, 0.0)
     return state.normalized()
 
-
-def write_fewbody_checkpoint(state: FewBodyState, path: str) -> None:
-    """Raw little-endian complex128 tensor plus a JSON sidecar at path + '.json'."""
-    _write_tensor(path, state.amplitudes, {
-        "n_particles": state.n_particles,
-        "m": state.lattice.m,
-        "box_length": state.lattice.box_length,
-        "time": state.time,
-        "dtype": "complex128",
-        "order": "C",
-    })
-
-
-def read_fewbody_checkpoint(path: str) -> FewBodyState:
-    amp, sidecar = _read_tensor(
-        path, lambda meta: (int(meta["m"]) ** 2,) * int(meta["n_particles"]))
-    lattice = Lattice2D(int(sidecar["m"]), float(sidecar["box_length"]))
-    return FewBodyState(lattice, amp, float(sidecar["time"]))

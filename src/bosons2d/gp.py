@@ -5,7 +5,8 @@ by Strang splitting: a half step of the pointwise phase exp(-i dt/2
 (A + b|psi|^2)), a full spectral kinetic step exp(-i dt |k|^2), and a half
 step of the phase at the advanced time. Every stage is unitary, so the
 discrete L2 norm is conserved to roundoff regardless of dt; accuracy (not
-stability) is the only dt constraint, monitored through the energy.
+stability) is the only dt constraint, and the energy (`gp_energy`) measures
+it.
 
 One private splitting, `_strang`, applies exp(-z H) in this order for a
 complex time z: z = i dt is the real-time step of `step` and of the lattice
@@ -38,9 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -56,8 +55,6 @@ __all__ = [
     "propagate",
     "gp_energy",
     "ground_state",
-    "write_checkpoint",
-    "read_checkpoint",
 ]
 
 
@@ -70,8 +67,8 @@ class Lattice2D:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("m must be at least 2")
-        if not (self.box_length > 0):
-            raise ValueError("box_length must be positive")
+        if not (self.box_length > 0 and math.isfinite(self.box_length)):
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
 
     @property
     def d(self) -> int:
@@ -213,10 +210,10 @@ class GpParams:
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.coupling < 0:
-            raise ValueError("coupling must be nonnegative")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (self.coupling >= 0 and math.isfinite(self.coupling)):
+            raise ValueError(f"coupling must be nonnegative and finite, got {self.coupling}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 def _strang(psi: np.ndarray, lattice: Lattice2D, coupling: float, a_now: np.ndarray,
@@ -285,31 +282,15 @@ def step(state: GpState, field: ExternalField, params: GpParams,
 
 
 def propagate(state: GpState, field: ExternalField, params: GpParams, n_steps: int,
-              observer: Callable[[GpState], None] | None = None,
-              monitor_energy: bool = False, drift_tolerance: float = 1e-6,
-              check_every: int = 100) -> GpState:
-    """Advance n_steps, optionally streaming states to an observer.
-
-    With monitor_energy the energy is sampled every check_every steps and a
-    relative drift per unit time above drift_tolerance raises a
-    RuntimeWarning: for a static field the splitting conserves energy to
-    O(dt^2), so a large drift flags a too-large dt rather than instability.
-    """
+              observer: Callable[[GpState], None] | None = None) -> GpState:
+    """Advance n_steps, handing the initial state and each stepped state to
+    the observer when one is given."""
     if observer is not None:
         observer(state)
-    e_ref = gp_energy(state, field, params) if monitor_energy else 0.0
-    t_ref = state.time
-    for i in range(int(n_steps)):
+    for _ in range(int(n_steps)):
         state = step(state, field, params)
         if observer is not None:
             observer(state)
-        if monitor_energy and (i + 1) % check_every == 0:
-            elapsed = max(abs(state.time - t_ref), params.dt)
-            drift = abs(gp_energy(state, field, params) - e_ref)
-            if drift > drift_tolerance * max(1.0, abs(e_ref)) * elapsed:
-                warnings.warn(
-                    f"energy drift {drift:.3e} over {elapsed:.3e} time units; "
-                    "dt may be too large", RuntimeWarning, stacklevel=2)
     return state
 
 
@@ -385,59 +366,3 @@ def ground_state(field: ExternalField, params: GpParams, seed: GpState,
                            f"{record(int(max_steps))}")
     return GpState(grid, psi, 0.0)
 
-
-_CHECKPOINT_CODES = {"complex64": "<c8", "complex128": "<c16"}
-
-
-def _write_tensor(path: str, amplitudes: np.ndarray, sidecar: dict) -> None:
-    """Raw little-endian C-order samples at path, the sidecar at path + '.json'."""
-    amplitudes.astype(_CHECKPOINT_CODES[sidecar["dtype"]]).tofile(path)
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump({**sidecar, "format_version": 1}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_tensor(path: str, shape_of: Callable[[dict], tuple[int, ...]]
-                 ) -> tuple[np.ndarray, dict]:
-    """Inverse of _write_tensor; shape_of maps the sidecar to the tensor shape."""
-    with open(path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    dtype = sidecar.get("dtype")
-    if dtype not in _CHECKPOINT_CODES:
-        raise ValueError(f"checkpoint sidecar field 'dtype' must be complex64 or "
-                         f"complex128, got {dtype!r}")
-    order = sidecar.get("order", "C")
-    if order != "C":
-        raise ValueError(f"checkpoint sidecar field 'order' must be 'C', got {order!r}")
-    version = sidecar.get("format_version", 1)
-    if type(version) is not int or version != 1:
-        raise ValueError(f"checkpoint sidecar field 'format_version' must be 1, got {version!r}")
-    shape = shape_of(sidecar)
-    raw = np.fromfile(path, dtype=_CHECKPOINT_CODES[dtype])
-    if raw.size != math.prod(shape):
-        raise ValueError(f"checkpoint holds {raw.size} samples, expected {math.prod(shape)}")
-    return raw.astype(np.complex128).reshape(shape), sidecar
-
-
-def write_checkpoint(state: GpState, path: str, params: GpParams | None = None,
-                     dtype: str = "complex128") -> None:
-    """Raw little-endian complex array plus a JSON sidecar at path + '.json'."""
-    if dtype not in _CHECKPOINT_CODES:
-        raise ValueError("checkpoint dtype must be complex64 or complex128")
-    sidecar = {
-        "n": state.grid.n,
-        "box_length": state.grid.box_length,
-        "time": state.time,
-        "dtype": dtype,
-        "order": "C",
-    }
-    if params is not None:
-        sidecar["coupling"] = params.coupling
-        sidecar["dt"] = params.dt
-    _write_tensor(path, state.amplitudes, sidecar)
-
-
-def read_checkpoint(path: str) -> tuple[GpState, dict]:
-    amp, sidecar = _read_tensor(path, lambda meta: (int(meta["n"]),) * 2)
-    grid = Grid2D(int(sidecar["n"]), float(sidecar["box_length"]))
-    return GpState(grid, amp, float(sidecar["time"])), sidecar

@@ -43,7 +43,6 @@ __all__ = [
     "build_microscopic",
     "g_norm_report",
     "coupling_deviation",
-    "check_pair_positivity",
     "positivity_refinement_study",
 ]
 
@@ -70,8 +69,9 @@ class RadialPotential:
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.support_radius <= 0:
-            raise ValueError("support_radius must be positive")
+        if not (self.support_radius > 0 and math.isfinite(self.support_radius)):
+            raise ValueError(
+                f"support_radius must be positive and finite, got {self.support_radius}")
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -79,8 +79,10 @@ class RadialPotential:
         out = np.zeros_like(r)
         if np.any(inside):
             vals = np.asarray(self.profile(r[inside]), dtype=float)
-            if np.any(vals < -1e-300):
-                raise ValueError("potential sample is negative; only V >= 0 is supported")
+            if not (vals >= -1e-300).all():  # NaN fails the comparison too
+                bad = vals[~(vals >= -1e-300)][0]
+                raise ValueError(f"potential sample {bad} is negative or NaN; "
+                                 "only V >= 0 is supported")
             out[inside] = vals
         return out
 
@@ -90,8 +92,8 @@ class RadialPotential:
 
 def square_well(height: float, radius: float) -> RadialPotential:
     """Flat repulsive disc: V = height for r <= radius, else 0."""
-    if height < 0:
-        raise ValueError("height must be nonnegative")
+    if not (height >= 0 and math.isfinite(height)):
+        raise ValueError(f"height must be nonnegative and finite, got {height}")
     return RadialPotential(
         profile=lambda r: np.full_like(np.asarray(r, dtype=float), float(height)),
         support_radius=float(radius),
@@ -103,6 +105,9 @@ def potential_from_table(r: np.ndarray, v: np.ndarray, description: str = "table
     """Potential from a two-column table, linearly interpolated, clamped outside."""
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)
+    for name, column in (("radius", r), ("potential value", v)):
+        if not np.isfinite(column).all():
+            raise ValueError(f"table {name} {column[~np.isfinite(column)][0]} is not finite")
     if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0):
         raise ValueError("table radii must be strictly increasing, length >= 2")
     if np.any(v < 0):
@@ -620,26 +625,19 @@ def _positivity_form(pair: MicroscopicPair, nodes: np.ndarray) -> tuple[float, f
     return 2.0 * math.pi * lam, 2.0 * math.pi * zero_mode
 
 
-def check_pair_positivity(pair: MicroscopicPair, grid_resolution: int = 200) -> float:
-    """Smallest eigenvalue of the discretized pair quadratic form.
-
-    Nonnegative up to roundoff when the construction is correct: the pair
-    state extended by 1 is a zero mode of the continuum form, and the finite
-    element form is its exact restriction.
-    """
-    if not pair.degenerate and pair._core_radius < 1e-12 * pair.inner_radius:
-        raise ValueError("core too deep for the radial grid; use smaller N here")
-    nodes = _positivity_nodes(pair, grid_resolution)
-    return _positivity_form(pair, nodes)[0]
-
-
 def positivity_refinement_study(pair: MicroscopicPair, grid_resolution: int = 100,
                                 levels: int = 3) -> tuple[list[float], list[float]]:
     """(eigenvalues, zero-mode form values) under nested midpoint refinement.
 
-    Every eigenvalue must clear the roundoff floor; the form value on the
-    interpolated state converges to zero at second order.
+    Every eigenvalue must clear the roundoff floor: the pair state extended
+    by 1 is a zero mode of the continuum form, and the finite element form is
+    its exact restriction. The form value on the interpolated state
+    converges to zero at second order. A core below 1e-12 of the inner
+    radius is refused, since the radial grid cannot resolve it.
     """
+    if not pair.degenerate and pair._core_radius < 1e-12 * pair.inner_radius:
+        raise ValueError(f"core radius {pair._core_radius:.3e} is too deep for the radial "
+                         f"grid (inner radius {pair.inner_radius:.3e}); use smaller N here")
     nodes = _positivity_nodes(pair, grid_resolution)
     eigs, modes = [], []
     for _ in range(levels):

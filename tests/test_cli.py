@@ -47,6 +47,15 @@ def test_every_exported_name_resolves(module):
     assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as written and prints finite numbers."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(math.isfinite(float(value)) for value in printed)
+
+
 def test_module_entry_point_runs_without_a_runtime_warning():
     """`python -m bosons2d.cli` executes the module once: the package does
     not import cli first, which would make runpy warn."""

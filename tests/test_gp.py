@@ -1,5 +1,4 @@
 """Tests for the 2D periodic-box Gross-Pitaevskii propagator."""
-import json
 import math
 
 import numpy as np
@@ -15,9 +14,7 @@ from bosons2d.gp import (
     gp_energy,
     ground_state,
     propagate,
-    read_checkpoint,
     step,
-    write_checkpoint,
 )
 
 
@@ -49,6 +46,19 @@ def test_grid_and_params_validation():
         GpParams(coupling=1.0, dt=0.0)
     with pytest.raises(ValueError):
         GpState(Grid2D(8, 1.0), np.zeros((4, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GpParams(coupling=math.nan), "coupling must be nonnegative and finite, got nan"),
+    (lambda: GpParams(coupling=math.inf), "coupling must be nonnegative and finite, got inf"),
+    (lambda: GpParams(coupling=1.0, dt=math.inf), "dt must be positive and finite, got inf"),
+    (lambda: GpParams(coupling=1.0, dt=math.nan), "dt must be positive and finite, got nan"),
+    (lambda: gp.Lattice2D(4, math.inf), "box_length must be positive and finite, got inf"),
+    (lambda: Grid2D(8, math.nan), "box_length must be positive and finite, got nan"),
+], ids=["coupling-nan", "coupling-inf", "dt-inf", "dt-nan", "lattice-inf", "grid-nan"])
+def test_non_finite_parameters_are_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_field_validation():
@@ -365,20 +375,12 @@ def test_ground_state_rejects_an_overflowing_step():
 
 # --------------------------------------------------------------- diagnostics
 
-def test_energy_monitor_warns_on_large_dt():
-    grid = Grid2D(32, 4.0)
-    state = gaussian_state(grid, 0.4)
-    field = cosine_field(grid)
-    params = GpParams(coupling=4.0 * math.pi, dt=0.25)
-    with pytest.warns(RuntimeWarning):
-        propagate(state, field, params, 5, monitor_energy=True, check_every=1)
-
-
-@pytest.mark.parametrize("monitor_energy", [False, True])
-def test_propagate_evaluates_the_field_once_per_step(monkeypatch, monitor_energy):
+@pytest.mark.parametrize("with_energy", [False, True])
+def test_propagate_evaluates_the_field_once_per_step(monkeypatch, with_energy):
     """A step's end table is the next step's start table, and an energy at
     the current time reads the table already held: n steps cost n + 1
-    evaluations with or without the energy checks."""
+    evaluations with or without an observer that takes every state's energy
+    (the `gp` scenario's observer takes the energy of its sampled states)."""
     calls = []
     evaluate = ExternalField.evaluate
     monkeypatch.setattr(ExternalField, "evaluate",
@@ -387,9 +389,11 @@ def test_propagate_evaluates_the_field_once_per_step(monkeypatch, monitor_energy
     kx = 2.0 * math.pi / grid.box_length
     field = ExternalField.from_function(lambda x, y, t: np.cos(kx * x - 3.0 * t))
     n = 12
-    # A driven field changes the energy on purpose, so no drift is flagged.
-    propagate(gaussian_state(grid, 0.4), field, GpParams(coupling=2.0, dt=1e-3), n,
-              monitor_energy=monitor_energy, drift_tolerance=math.inf, check_every=3)
+    params = GpParams(coupling=2.0, dt=1e-3)
+    energies = []
+    observer = (lambda s: energies.append(gp_energy(s, field, params))) if with_energy else None
+    propagate(gaussian_state(grid, 0.4), field, params, n, observer=observer)
+    assert len(energies) == (n + 1 if with_energy else 0)
     assert len(calls) == n + 1
     assert len(set(calls)) == n + 1
 
@@ -404,63 +408,3 @@ def test_trajectory_recorder_stream():
     assert len(seen) == 6
     assert seen[0] is state and seen[-1] is final
     assert [s.time for s in seen] == pytest.approx([i * params.dt for i in range(6)], abs=1e-15)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    grid = Grid2D(32, 4.0)
-    state = propagate(gaussian_state(grid, 0.4), ExternalField.zero(),
-                      GpParams(coupling=1.0, dt=1e-3), 3)
-    path = str(tmp_path / "state.bin")
-    write_checkpoint(state, path, GpParams(coupling=1.0, dt=1e-3))
-    loaded, sidecar = read_checkpoint(path)
-    assert np.array_equal(loaded.amplitudes, state.amplitudes)
-    assert loaded.grid == grid
-    assert loaded.time == state.time
-    assert sidecar["coupling"] == 1.0
-    with open(path + ".json", encoding="utf-8") as fh:
-        assert json.load(fh)["dtype"] == "complex128"
-
-    path32 = str(tmp_path / "state32.bin")
-    write_checkpoint(state, path32, dtype="complex64")
-    loaded32, _ = read_checkpoint(path32)
-    assert np.max(np.abs(loaded32.amplitudes - state.amplitudes)) < 1e-6
-
-    with pytest.raises(ValueError):
-        write_checkpoint(state, str(tmp_path / "bad.bin"), dtype="float64")
-    truncated = str(tmp_path / "short.bin")
-    state.amplitudes[:16].astype("<c16").tofile(truncated)
-    with open(truncated + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"n": 32, "box_length": 4.0, "time": 0.0, "dtype": "complex128"}, fh)
-    with pytest.raises(ValueError):
-        read_checkpoint(truncated)
-
-
-@pytest.mark.parametrize("field, value", [("dtype", "float64"), ("dtype", None),
-                                          ("order", "F"), ("format_version", 2)])
-def test_checkpoint_reader_rejects_bad_sidecar(tmp_path, field, value):
-    grid = Grid2D(8, 1.0)
-    path = str(tmp_path / "state.bin")
-    write_checkpoint(GpState(grid, np.ones((8, 8), dtype=complex)), path)
-    with open(path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    sidecar[field] = value
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
-    with pytest.raises(ValueError, match=f"'{field}'"):
-        read_checkpoint(path)
-
-
-def test_checkpoint_sidecar_carries_format_version_one(tmp_path):
-    """The writer stamps version 1; a sidecar written before the field
-    existed (no format_version, no order) reads as version 1."""
-    grid = Grid2D(8, 1.0)
-    path = str(tmp_path / "state.bin")
-    state = GpState(grid, np.ones((8, 8), dtype=complex))
-    write_checkpoint(state, path)
-    with open(path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    assert sidecar["format_version"] == 1
-    del sidecar["format_version"], sidecar["order"]
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
-    assert np.array_equal(read_checkpoint(path)[0].amplitudes, state.amplitudes)

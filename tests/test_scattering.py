@@ -7,8 +7,8 @@ from scipy.special import i0, i1
 
 from bosons2d.quadrature import radial_area_integral
 from bosons2d.scattering import (
+    RadialPotential,
     build_microscopic,
-    check_pair_positivity,
     coupling_deviation,
     g_norm_report,
     integral_I,
@@ -101,6 +101,28 @@ def test_zero_potential_degenerates():
     assert sol.scattering_length == 0.0
     assert sol.integral_I == 0.0
     assert np.max(np.abs(sol.evaluate(profile_grid(0.5, 2.0)) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: square_well(math.nan, 0.5), "height must be nonnegative and finite, got nan"),
+    (lambda: square_well(math.inf, 0.5), "height must be nonnegative and finite, got inf"),
+    (lambda: square_well(4.0, math.nan), "support_radius must be positive and finite, got nan"),
+    (lambda: square_well(4.0, math.inf), "support_radius must be positive and finite, got inf"),
+    (lambda: potential_from_table([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
+     "table radius nan is not finite"),
+    (lambda: potential_from_table([0.0, 0.5, math.inf], [1.0, 1.0, 1.0]),
+     "table radius inf is not finite"),
+    (lambda: potential_from_table([0.0, 0.5, 1.0], [1.0, math.nan, 0.0]),
+     "table potential value nan is not finite"),
+    (lambda: RadialPotential(lambda r: np.nan * r, 0.5)(0.1),
+     "potential sample nan is negative or NaN"),
+    (lambda: RadialPotential(lambda r: -r, 0.5)(np.array([0.0, 0.1])),
+     r"potential sample -0\.1 is negative or NaN"),
+], ids=["height-nan", "height-inf", "radius-nan", "radius-inf", "table-radius-nan",
+        "table-radius-inf", "table-value-nan", "profile-nan", "profile-negative"])
+def test_non_finite_potentials_are_rejected_by_value(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_boundary_inside_support_rejected():
@@ -284,7 +306,8 @@ def test_g_norm_scaling_exponents():
 def test_positivity_of_pair_form():
     for N, beta in ((8, 1.0), (6, 0.5)):
         p = build_microscopic(PAIR_WELL, N=N, beta=beta)
-        assert check_pair_positivity(p, grid_resolution=200) >= -1e-6
+        eigenvalues, _ = positivity_refinement_study(p, grid_resolution=200, levels=1)
+        assert eigenvalues[0] >= -1e-6
 
 
 def test_positivity_refinement_study():
@@ -304,7 +327,17 @@ def test_degenerate_pair():
     assert p.R_beta == p.inner_radius
     assert p.g_norms == (0.0, 0.0, 0.0)
     assert np.all(p.f_evaluate(np.linspace(0, 1, 7)) == 1.0)
-    assert check_pair_positivity(p, grid_resolution=80) >= -1e-6
+    eigenvalues, _ = positivity_refinement_study(p, grid_resolution=80, levels=1)
+    assert eigenvalues[0] >= -1e-6
+
+
+def test_positivity_study_refuses_a_core_too_deep_for_its_grid():
+    # At N = 40 the core radius 0.5 e^-40 = 2.1e-18 sits below 1e-12 of the
+    # inner radius 40^-1.
+    p = build_microscopic(PAIR_WELL, N=40, beta=1.0)
+    with pytest.raises(ValueError, match=r"core radius 2\.1\d\de-18 is too deep for the "
+                                         r"radial grid \(inner radius 2\.500e-02\)"):
+        positivity_refinement_study(p, grid_resolution=60, levels=1)
 
 
 def test_pair_rejects_overlapping_core():
