@@ -2,11 +2,12 @@
 
 Five coupled layers: microscopic zero-energy scattering and the softened-pair
 construction (scattering), scaled potential families and log-smeared
-comparisons (potentials), mean-field propagation on a periodic grid (gp),
-exact few-boson lattice dynamics (fewbody), and condensation-counting
-diagnostics tying them together (diagnostics). Each propagator has one
-engine: `gp_propagate` the Strang splitting, `fewbody_propagate` the
-Chebyshev series. The cli module exposes each layer as a reproducible
+comparisons (potentials), mean-field propagation (gp), exact few-boson
+dynamics (fewbody), and condensation-counting diagnostics tying them
+together (diagnostics). Every field and every few-body state lives on one
+periodic lattice type, `Lattice2D`. Each propagator has one engine:
+`gp_propagate` the Strang splitting, `fewbody_propagate` the Chebyshev
+series. The cli module exposes each layer as a reproducible
 experiment. The exported names are the ones the scenarios, the acceptance
 criteria and the benchmark use. The CLI names
 resolve on first use, so importing the package does not import `cli` and
@@ -40,7 +41,6 @@ from .potentials import (
 from .gp import (
     ExternalField,
     GpParams,
-    Grid2D,
     GpState,
     gp_energy,
     ground_state,
@@ -116,7 +116,6 @@ __all__ = [
     "smeared_norm_report",
     "ExternalField",
     "GpParams",
-    "Grid2D",
     "GpState",
     "gp_energy",
     "ground_state",

@@ -39,7 +39,7 @@ from .fewbody import (
 )
 from .fewbody import propagate as fewbody_propagate
 from .fitting import FitResult, power_law_fit
-from .gp import ExternalField, GpParams, GpState, Grid2D, gp_energy
+from .gp import ExternalField, GpParams, GpState, gp_energy
 from .gp import propagate as gp_propagate
 from .potentials import laplacian_residual, make_scaled, make_smeared, smeared_norm_report
 from .scattering import (
@@ -456,7 +456,7 @@ def _run_smearing(config: ExperimentConfig, out_dir: Path, log: AssertionLog) ->
     return {"smearing.csv": csv_path, "fits.json": fits_path, "summary": summary}
 
 
-def _smooth_initial_field(grid: Grid2D, rng: np.random.Generator) -> GpState:
+def _smooth_initial_field(grid: Lattice2D, rng: np.random.Generator) -> GpState:
     x, y = grid.meshes()
     scale = 2.0 * math.pi / grid.box_length
     amp = np.ones_like(x, dtype=np.complex128)
@@ -478,7 +478,7 @@ def _cosine_field(amplitude: float, box_length: float) -> ExternalField | None:
 
 
 def _run_gp(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> dict[str, Any]:
-    grid = Grid2D(config.grid_points, config.box_length)
+    grid = Lattice2D(config.grid_points, config.box_length)
     state = _smooth_initial_field(grid, derived_rng(config))
     field = _cosine_field(config.field_amplitude, config.box_length) or ExternalField.zero()
     params = GpParams(coupling=config.coupling, dt=config.dt)

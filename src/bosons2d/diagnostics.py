@@ -538,8 +538,7 @@ def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
     full, correction, used = None, 0.0, False
     if micro is not None:
         lattice = state.lattice
-        used = bool(not getattr(micro, "degenerate", False)
-                    and micro.R_beta >= lattice.spacing)
+        used = bool(micro.R_beta >= lattice.spacing)
         if used:
             g_table = micro.g_evaluate(lattice.minimum_image_distances().ravel()
                                        ).reshape(lattice.m, lattice.m)

@@ -382,8 +382,8 @@ def jastrow_initial_state(phi: np.ndarray, pair, lattice: Lattice2D,
         raise ValueError("phi must be sampled on the lattice")
     cell = lattice.spacing ** 2
     nrm = math.sqrt(float(np.sum(np.abs(phi) ** 2)) * cell)
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError("phi must be normalized on the lattice")
+    if not math.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
+        raise ValueError(f"phi must be normalized on the lattice, got norm {nrm}")
     site_phi = phi.ravel()
     amp = site_phi
     for _ in range(n_particles - 1):

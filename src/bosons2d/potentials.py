@@ -14,7 +14,9 @@ the origin in r, every outer piece in ln r.
 The base moments (cumulative charge and log moment) are exact closed forms
 for piecewise-linear profiles, which covers both built-in constructors;
 other callables are treated as piecewise linear between their declared
-breakpoints.
+breakpoints. The base moments and norms are rebuilt on every call (tens of
+microseconds each) rather than cached, so the module holds no reference to
+a caller's potential.
 """
 from __future__ import annotations
 
@@ -68,39 +70,32 @@ class _RadialMoments:
     the smeared potential's total charge cancellation at roundoff level.
     """
     knots: tuple[float, ...]
-    values: tuple[float, ...]
-    _slopes: np.ndarray = dataclasses.field(repr=False, default=None)
-    _offsets: np.ndarray = dataclasses.field(repr=False, default=None)
-    _cum_charge: np.ndarray = dataclasses.field(repr=False, default=None)
-    _cum_log: np.ndarray = dataclasses.field(repr=False, default=None)
-    _knot_gamma: np.ndarray = dataclasses.field(repr=False, default=None)
-    _knot_lambda: np.ndarray = dataclasses.field(repr=False, default=None)
+    _slopes: np.ndarray = dataclasses.field(repr=False)
+    _offsets: np.ndarray = dataclasses.field(repr=False)
+    _cum_charge: np.ndarray = dataclasses.field(repr=False)
+    _cum_log: np.ndarray = dataclasses.field(repr=False)
+    _knot_gamma: np.ndarray = dataclasses.field(repr=False)
+    _knot_lambda: np.ndarray = dataclasses.field(repr=False)
 
     @staticmethod
     def from_potential(potential: RadialPotential) -> "_RadialMoments":
-        knots = np.unique(np.array(
+        kn = np.unique(np.array(
             [0.0, *potential.internal_breakpoints(), potential.support_radius]))
-        vals = potential(knots)
         # The support edge itself evaluates inside; keep it that way so a flat
         # disc stays exactly flat across its last piece.
-        m = _RadialMoments(knots=tuple(knots), values=tuple(float(v) for v in vals))
-        kn = knots
-        dv = np.diff(vals)
-        dr = np.diff(kn)
-        slopes = dv / dr
+        vals = potential(kn)
+        slopes = np.diff(vals) / np.diff(kn)
         offsets = vals[:-1] - slopes * kn[:-1]
         q_pieces = (offsets * (kn[1:] ** 2 - kn[:-1] ** 2) / 2.0
                     + slopes * (kn[1:] ** 3 - kn[:-1] ** 3) / 3.0)
         gam = _gamma_moment(kn)
         lam = _lambda_moment(kn)
         l_pieces = offsets * (gam[1:] - gam[:-1]) + slopes * (lam[1:] - lam[:-1])
-        object.__setattr__(m, "_knot_gamma", gam)
-        object.__setattr__(m, "_knot_lambda", lam)
-        object.__setattr__(m, "_slopes", slopes)
-        object.__setattr__(m, "_offsets", offsets)
-        object.__setattr__(m, "_cum_charge", np.concatenate([[0.0], np.cumsum(q_pieces)]))
-        object.__setattr__(m, "_cum_log", np.concatenate([[0.0], np.cumsum(l_pieces)]))
-        return m
+        return _RadialMoments(
+            knots=tuple(kn), _slopes=slopes, _offsets=offsets,
+            _cum_charge=np.concatenate([[0.0], np.cumsum(q_pieces)]),
+            _cum_log=np.concatenate([[0.0], np.cumsum(l_pieces)]),
+            _knot_gamma=gam, _knot_lambda=lam)
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.knots, x, side="right") - 1
@@ -132,12 +127,6 @@ class _RadialMoments:
         return float(self._cum_log[-1])
 
 
-@functools.lru_cache(maxsize=128)
-def _base_moments(potential: RadialPotential) -> _RadialMoments:
-    return _RadialMoments.from_potential(potential)
-
-
-@functools.lru_cache(maxsize=128)
 def _base_norms(potential: RadialPotential) -> tuple[float, float, float]:
     """(L1, L2, Linf) of the base potential over the plane."""
     cuts = [0.0, *potential.internal_breakpoints(), potential.support_radius]
@@ -329,7 +318,7 @@ def make_smeared(w_beta: ScaledPotential, beta1: float) -> tuple[ScaledPotential
             f"smearing disc {r_u!r} does not cover the potential support {r_w!r}; "
             "increase N or the exponent gap")
 
-    moments = _base_moments(w_beta.base)
+    moments = _RadialMoments.from_potential(w_beta.base)
     n_inv = 1.0 / float(N)
     w_scale = float(N) ** beta
     beta_log = beta * math.log(N)

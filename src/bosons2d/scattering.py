@@ -13,7 +13,9 @@ The softened pair replaces an exponentially peaked potential by a flat
 annular one of equal zero-energy coupling. Its state is assembled from
 closed forms (logarithm in the force-free gap, ordinary Bessel functions
 J0/Y0 in the annulus, where the equation is oscillatory) glued to the solved
-core, so no grid ever has to resolve the e^(-N) core scale.
+core, so no grid ever has to resolve the e^(-N) core scale. The paper's
+potentials are positive; a zero potential has no scattering length to
+soften, and `build_microscopic` refuses it by name.
 """
 from __future__ import annotations
 
@@ -122,28 +124,36 @@ def potential_from_table(r: np.ndarray, v: np.ndarray, description: str = "table
 
 
 @dataclasses.dataclass(frozen=True)
-class _RadialSolve:
-    """Regular solution on [0, r_end] in the s(0) = 1 normalization.
+class ScatteringSolution:
+    """Regular radial zero-energy solution on [0, R], with its length scale.
 
-    u_end and w_end are u = s and w = r s' at r_end. Below series_radius the
-    solution is the series 1 + series_coeff r^2; above it, the DOP853 dense
-    segments. cuts are the quadrature pieces: the series disc, the
-    potential's kinks and its support edge.
+    The solve runs with s(0) = 1: u_end and w_end are u = s and w = r s' at
+    R; terminal_slope is s'(R) and `evaluate` is s, both for s(R) = 1. Below
+    series_radius s is the series 1 + series_coeff r^2, above it the DOP853
+    dense segments; cuts are the quadrature pieces (series disc, kinks,
+    support edge).
+
+    integral_I is the quadrature value of 2*pi*int r V s dr, computed on first
+    read; the scattering length comes from the terminal slope, so the two
+    satisfy I = 4*pi/ln(R/a) only up to solver error. That residual is the
+    primary internal consistency check. scattering_length is 0 iff the
+    terminal slope is not positive (a zero potential).
     """
     potential: RadialPotential
-    r_end: float
+    boundary_radius: float
     u_end: float
     w_end: float
+    terminal_slope: float
     scattering_length: float
-    series_radius: float
-    series_coeff: float
-    segments: tuple
-    cuts: tuple[float, ...]
+    series_radius: float = dataclasses.field(repr=False)
+    series_coeff: float = dataclasses.field(repr=False)
+    segments: tuple = dataclasses.field(repr=False)
+    cuts: tuple[float, ...] = dataclasses.field(repr=False)
 
-    def values(self, r: np.ndarray | float) -> np.ndarray:
-        """u(r) = s(r) with s(0) = 1, for 0 <= r <= r_end."""
+    def _values(self, r: np.ndarray | float) -> np.ndarray:
+        """u(r) = s(r) with s(0) = 1, for 0 <= r <= R."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r > self.r_end):
+        if np.any(r > self.boundary_radius):
             raise ValueError("evaluation outside the solved interval")
         out = np.empty_like(r)
         tiny = r < self.series_radius
@@ -154,14 +164,23 @@ class _RadialSolve:
                 out[mask] = dense(r[mask])[0]
         return out
 
-    def coupling(self, norm: float = 1.0) -> float:
+    def _coupling(self, norm: float = 1.0) -> float:
         """2*pi*int r V s dr by quadrature, for the solution scaled to s = u / norm."""
         value, _ = radial_area_integral(
-            lambda r: self.potential(r) * (self.values(r) / norm), self.cuts, rtol=1e-12)
+            lambda r: self.potential(r) * (self._values(r) / norm), self.cuts, rtol=1e-12)
         return value
 
+    @functools.cached_property
+    def integral_I(self) -> float:
+        """Coupling integral 2*pi*int r V s dr by quadrature, for s(R) = 1."""
+        return self._coupling(self.u_end)
 
-def _integrate_radial(potential: RadialPotential, r_end: float) -> _RadialSolve:
+    def evaluate(self, r: np.ndarray | float) -> np.ndarray:
+        """Solution value s(r), normalized to s(R) = 1, for 0 <= r <= R."""
+        return self._values(r) / self.u_end
+
+
+def _integrate_radial(potential: RadialPotential, r_end: float) -> ScatteringSolution:
     """Integrate the regular solution out to r_end with s(0) = 1.
 
     The scattering length r_end exp(-u/w) comes from the exterior logarithm;
@@ -200,39 +219,9 @@ def _integrate_radial(potential: RadialPotential, r_end: float) -> _RadialSolve:
             raise ValueError(
                 f"scattering length of {potential.description or 'the potential'} underflows "
                 f"to 0: ln(r/a) = u/w = {u_end / w_end:.6g} at r = {r_end!r}")
-    return _RadialSolve(potential, r_end, u_end, w_end, a, r_min, series_coeff,
-                        tuple(segments), (0.0, r_min, *breakpoints, support))
-
-
-@dataclasses.dataclass(frozen=True)
-class ScatteringSolution:
-    """Radial zero-energy solution normalized to s(R) = 1, with its length scale.
-
-    integral_I is the quadrature value of 2*pi*int r V s dr, computed on first
-    read; the scattering length comes from the terminal slope, so the two
-    satisfy I = 4*pi/ln(R/a) only up to solver error. That residual is the
-    primary internal consistency check. scattering_length is 0 iff the
-    terminal slope is not positive (a zero potential).
-    """
-    boundary_radius: float
-    potential: RadialPotential
-    scattering_length: float
-    terminal_slope: float
-    _solve: _RadialSolve = dataclasses.field(repr=False)
-
-    @property
-    def _norm(self) -> float:
-        """u(R) in the s(0) = 1 normalization."""
-        return self._solve.u_end
-
-    @functools.cached_property
-    def integral_I(self) -> float:
-        """Coupling integral 2*pi*int r V s dr by quadrature, for s(R) = 1."""
-        return self._solve.coupling(self._solve.u_end)
-
-    def evaluate(self, r: np.ndarray | float) -> np.ndarray:
-        """Solution value s(r), normalized to s(R) = 1, for 0 <= r <= R."""
-        return self._solve.values(r) / self._solve.u_end
+    return ScatteringSolution(potential, r_end, u_end, w_end, w_end / (r_end * u_end), a,
+                              r_min, series_coeff, tuple(segments),
+                              (0.0, r_min, *breakpoints, support))
 
 
 def solve_zero_energy(potential: RadialPotential, boundary_radius: float) -> ScatteringSolution:
@@ -245,9 +234,7 @@ def solve_zero_energy(potential: RadialPotential, boundary_radius: float) -> Sca
     R = float(boundary_radius)
     if R < potential.support_radius:
         raise ValueError("boundary radius must not cut into the potential support")
-    solve = _integrate_radial(potential, R)
-    return ScatteringSolution(R, potential, solve.scattering_length,
-                              solve.w_end / (R * solve.u_end), solve)
+    return _integrate_radial(potential, R)
 
 
 def integral_I(sol: ScatteringSolution) -> float:
@@ -276,7 +263,7 @@ def scaled_scattering_identity(potential: RadialPotential, N: int,
     solve = _integrate_radial(potential, r0)
     # In unscaled variables the state extends by a pure logarithm out to e^N R.
     u_boundary = solve.u_end + solve.w_end * (N + math.log(R / r0))
-    value = solve.coupling() / u_boundary
+    value = solve._coupling() / u_boundary
 
     if solve.w_end > 0.0:
         closed = 4.0 * math.pi / (N + math.log(R / solve.scattering_length))
@@ -308,22 +295,19 @@ class MicroscopicPair:
     scattering_length: float
     residual: float
     scan_trace: tuple[np.ndarray, np.ndarray]
-    degenerate: bool = False
-    base_potential: RadialPotential | None = None
+    base_potential: RadialPotential
     # Annulus/gap bookkeeping for the closed-form quadratures.
-    _k: float = 0.0
-    _A: float = 0.0
-    _B: float = 0.0
-    _u_at_R: float = 1.0
-    _w0: float = 1.0
-    _core_radius: float = 0.0
-    _core_solution: ScatteringSolution | None = dataclasses.field(repr=False, default=None)
+    _k: float
+    _A: float
+    _B: float
+    _u_at_R: float
+    _w0: float
+    _core_radius: float
+    _core_solution: ScatteringSolution = dataclasses.field(repr=False)
 
     def f_evaluate(self, r: np.ndarray | float) -> np.ndarray:
         """Zero-energy state of the combined potential, 1 beyond R_beta."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.degenerate:
-            return np.ones_like(r)
         out = np.ones_like(r)
         U = self._u_at_R
         a = self.scattering_length
@@ -339,7 +323,7 @@ class MicroscopicPair:
             scaled = r[core] * math.exp(self.N)
             # evaluate() is normalized at the support edge; undo that to get
             # the s(0) = 1 branch the gap logarithm continues.
-            u0 = self._core_solution.evaluate(scaled) * self._core_solution._norm
+            u0 = self._core_solution.evaluate(scaled) * self._core_solution.u_end
             out[core] = u0 / (self._w0 * U)
         if np.any(gap):
             out[gap] = (self.N + np.log(r[gap] / a)) / U
@@ -375,7 +359,9 @@ def build_microscopic(potential: RadialPotential, N: int, beta: float) -> Micros
     unscaled state (compressed by the e^N substitution), the force-free gap is
     the continued logarithm N + ln(r/a), and the annulus is a J0/Y0 combination
     matched at the inner edge. The outer radius is the first zero of the radial
-    derivative, located by a geometric bracket scan plus brentq.
+    derivative, located by a geometric bracket scan plus brentq. A potential
+    whose solved core has no positive terminal slope (a zero potential) raises
+    a ValueError that names it.
     """
     N = int(N)
     if N < 2:
@@ -392,15 +378,13 @@ def build_microscopic(potential: RadialPotential, N: int, beta: float) -> Micros
 
     core = solve_zero_energy(potential, potential.support_radius)
     # Terminal data in the s(0) = 1 normalization of the core solve.
-    w0 = core.terminal_slope * potential.support_radius * core._norm
-    u0 = core._norm
+    w0 = core.terminal_slope * potential.support_radius * core.u_end
+    u0 = core.u_end
     if w0 <= 0.0:
-        return MicroscopicPair(
-            N=N, beta=beta, inner_radius=r1, R_beta=r1, height=height,
-            K_beta=1.0, g_norms=(0.0, 0.0, 0.0),
-            scattering_length=0.0, residual=0.0,
-            scan_trace=(np.empty(0), np.empty(0)), degenerate=True,
-            base_potential=potential)
+        raise ValueError(
+            f"{potential.description or 'the potential'} has no positive terminal slope "
+            f"(w = {w0!r}), so it has no scattering length to soften; the pair needs a "
+            "positive potential")
     a = potential.support_radius * math.exp(-u0 / w0)
 
     k = math.sqrt(2.0 * math.pi) * float(N) ** ((-1.0 + 2.0 * beta) / 2.0)
@@ -484,14 +468,14 @@ def _g_norms(pair: MicroscopicPair) -> tuple[float, float, float]:
     scale = math.exp(-2.0 * pair.N)
 
     def core_l1(rho: np.ndarray) -> np.ndarray:
-        return rho * (1.0 - core.evaluate(rho) * core._norm / (w0 * U))
+        return rho * (1.0 - core.evaluate(rho) * core.u_end / (w0 * U))
 
     def core_l2(rho: np.ndarray) -> np.ndarray:
-        return rho * (1.0 - core.evaluate(rho) * core._norm / (w0 * U)) ** 2
+        return rho * (1.0 - core.evaluate(rho) * core.u_end / (w0 * U)) ** 2
 
     if scale > 0.0:
-        core1, _ = piecewise_simpson(core_l1, core._solve.cuts, rtol=1e-12)
-        core2, _ = piecewise_simpson(core_l2, core._solve.cuts, rtol=1e-12)
+        core1, _ = piecewise_simpson(core_l1, core.cuts, rtol=1e-12)
+        core2, _ = piecewise_simpson(core_l2, core.cuts, rtol=1e-12)
         gap_lo_l1 = _gap_antideriv_l1(np.array([rc]), c, U)[0]
         gap_lo_l2 = _gap_antideriv_l2(np.array([rc]), c, U)[0]
     else:
@@ -546,8 +530,6 @@ def g_norm_report(pairs: Sequence[MicroscopicPair]) -> GNormReport:
 
 def coupling_deviation(pair: MicroscopicPair) -> float:
     """Signed deviation N * ||M f||_1 - 4*pi, from the exact Bessel moments."""
-    if pair.degenerate:
-        return -4.0 * math.pi
     U = pair._u_at_R
     w_R = -pair._k * pair.R_beta * (pair._A * j1(pair._k * pair.R_beta)
                                     + pair._B * y1(pair._k * pair.R_beta))
@@ -558,9 +540,6 @@ def coupling_deviation(pair: MicroscopicPair) -> float:
 def _positivity_nodes(pair: MicroscopicPair, grid_resolution: int) -> np.ndarray:
     rc, r1, R = pair._core_radius, pair.inner_radius, pair.R_beta
     n = max(int(grid_resolution), 16)
-    if pair.degenerate or rc <= 0.0:
-        return np.unique(np.concatenate([
-            np.linspace(0.0, R, n), np.linspace(R, 2.0 * R, n // 2)]))
     nodes = np.concatenate([
         [0.0],
         np.geomspace(rc / 32.0, rc, n // 3),
@@ -598,7 +577,7 @@ def _positivity_form(pair: MicroscopicPair, nodes: np.ndarray) -> tuple[float, f
     def combined_potential(r: np.ndarray) -> np.ndarray:
         vals = -pair.m_evaluate(r)
         core = r <= pair._core_radius
-        if np.any(core) and pair.base_potential is not None:
+        if np.any(core):
             vals[core] += math.exp(2.0 * N) * pair.base_potential(r[core] * scale)
         return vals
 
@@ -635,7 +614,7 @@ def positivity_refinement_study(pair: MicroscopicPair, grid_resolution: int = 10
     converges to zero at second order. A core below 1e-12 of the inner
     radius is refused, since the radial grid cannot resolve it.
     """
-    if not pair.degenerate and pair._core_radius < 1e-12 * pair.inner_radius:
+    if pair._core_radius < 1e-12 * pair.inner_radius:
         raise ValueError(f"core radius {pair._core_radius:.3e} is too deep for the radial "
                          f"grid (inner radius {pair.inner_radius:.3e}); use smaller N here")
     nodes = _positivity_nodes(pair, grid_resolution)

@@ -33,7 +33,6 @@ from bosons2d.gp import (
     ExternalField,
     GpParams,
     GpState,
-    Grid2D,
     gp_energy,
     propagate as gp_propagate,
     step as gp_step,
@@ -99,7 +98,7 @@ def cosine_field(box_length: float, amp: float = 0.8) -> ExternalField:
     return ExternalField.from_function(lambda x, y, t: amp * np.cos(k * x))
 
 
-def gaussian_gp_state(grid: Grid2D, sigma: float) -> GpState:
+def gaussian_gp_state(grid: Lattice2D, sigma: float) -> GpState:
     x, y = grid.meshes()
     c = grid.box_length / 2.0
     amp = np.exp(-((x - c) ** 2 + (y - c) ** 2) / (2.0 * sigma ** 2))
@@ -202,7 +201,7 @@ def test_criterion_06_pair_form_positivity():
 
 def test_criterion_07_mean_field_propagation():
     """Strang propagation: exact norms, second-order energy, exact constant phase."""
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     state = gaussian_gp_state(grid, 0.8)
     field = cosine_field(grid.box_length)
     params = GpParams(coupling=4.0 * math.pi, dt=1e-3)
@@ -229,7 +228,7 @@ def test_criterion_07_mean_field_propagation():
     assert drifts[0] / drifts[1] == pytest.approx(4.0, abs=0.5)
 
     c = 1.0 / grid.box_length
-    uniform = GpState(grid, np.full((grid.n, grid.n), c, dtype=complex))
+    uniform = GpState(grid, np.full((grid.m, grid.m), c, dtype=complex))
     const_field = ExternalField.from_function(lambda x, y, t: 0.7 * np.ones_like(x))
     out = gp_propagate(uniform, const_field, params, 200)
     exact = c * np.exp(-1j * (0.7 + params.coupling * c * c) * out.time)

@@ -39,7 +39,7 @@ from bosons2d.fewbody import (
     energy_per_particle,
     jastrow_initial_state,
 )
-from bosons2d.gp import ExternalField, GpParams, GpState, Grid2D, step as gp_step
+from bosons2d.gp import ExternalField, GpParams, GpState, step as gp_step
 from bosons2d.potentials import make_scaled
 from bosons2d.scattering import build_microscopic, square_well
 
@@ -347,23 +347,21 @@ def test_pair_table_application_matches_hamiltonian_potential():
 
 def test_mean_field_energy_matches_gp_module():
     lat = Lattice2D(4, 1.0)
-    grid = Grid2D(4, 1.0)
     phi = lattice_field(lat)
     field = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * x))
     params = GpParams(coupling=2.5)
     from bosons2d.gp import gp_energy
-    oracle = gp_energy(GpState(grid, phi), field, params)
+    oracle = gp_energy(GpState(lat, phi), field, params)
     mine = mean_field_energy(phi, lat, 2.5, field.evaluate(lat, 0.0))
     assert mine == pytest.approx(oracle, rel=1e-12)
 
 
 def test_mean_field_step_matches_gp_step():
     lat = Lattice2D(4, 1.0)
-    grid = Grid2D(4, 1.0)
     phi = lattice_field(lat)
     frozen = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * y))
     params = GpParams(coupling=1.7, dt=1e-3)
-    oracle = gp_step(GpState(grid, phi), frozen, params)
+    oracle = gp_step(GpState(lat, phi), frozen, params)
     # one splitting behind both entry points: the same bits for a static table
     mine = mean_field_step(phi, lat, 1.7, frozen.evaluate(lat, 0.0), dt=1e-3)
     assert np.array_equal(mine, oracle.amplitudes)
@@ -415,8 +413,7 @@ def test_energy_gap_reads_the_field_from_a_given_hamiltonian(monkeypatch):
     state = depleted_state(lat, phi, 0.1)
     V = make_scaled("V_N", square_well(4.0, 0.5), N=2)
     field = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * x))
-    micro = SimpleNamespace(R_beta=1e-6, degenerate=False,
-                            g_evaluate=lambda r: np.zeros_like(r))
+    micro = SimpleNamespace(R_beta=1e-6, g_evaluate=lambda r: np.zeros_like(r))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         hamiltonian = build_hamiltonian(lat, 2, V, field, t=state.time)
@@ -457,8 +454,7 @@ def test_alpha_full_without_resolvable_core_is_alpha_less():
     state = depleted_state(lat, phi, 0.1)
     base = square_well(4.0, 0.5)
     V = make_scaled("V_N", base, N=2)
-    micro = SimpleNamespace(R_beta=1e-6, degenerate=False,
-                            g_evaluate=lambda r: np.zeros_like(r))
+    micro = SimpleNamespace(R_beta=1e-6, g_evaluate=lambda r: np.zeros_like(r))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = alpha_full(state, proj, V, micro)
@@ -473,8 +469,7 @@ def test_alpha_full_zero_depletion_profile_adds_nothing():
     phi = lattice_field(lat)
     proj = CondensateProjector(lat, phi)
     state = depleted_state(lat, phi, 0.1)
-    micro = SimpleNamespace(R_beta=1.0, degenerate=False,
-                            g_evaluate=lambda r: np.zeros_like(r))
+    micro = SimpleNamespace(R_beta=1.0, g_evaluate=lambda r: np.zeros_like(r))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = alpha_full(state, proj, None, micro)
@@ -540,8 +535,7 @@ def test_diagnostics_report_bundle():
                                               rel=1e-12)
     assert report.trace_distance == trace_distance(report.gamma1, proj)
     assert report.gamma1.shape == (lat.d, lat.d)
-    micro = SimpleNamespace(R_beta=1.0, degenerate=False,
-                            g_evaluate=lambda r: np.exp(-np.asarray(r)))
+    micro = SimpleNamespace(R_beta=1.0, g_evaluate=lambda r: np.exp(-np.asarray(r)))
     report2 = diagnostics_report(state, proj, micro=micro)
     assert report2.used_correction
     assert report2.alpha_full is not None

@@ -367,6 +367,8 @@ def test_jastrow_validation():
         jastrow_initial_state(np.ones((3, 3), dtype=complex), None, lat, 2)
     with pytest.raises(ValueError):
         jastrow_initial_state(2.0 * np.ones((4, 4), dtype=complex), None, lat, 2)
+    with pytest.raises(ValueError, match="phi must be normalized on the lattice, got norm nan"):
+        jastrow_initial_state(np.full((4, 4), np.nan, dtype=complex), None, lat, 2)
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import bosons2d
 from bosons2d import gp
 from bosons2d.gp import (
     ExternalField,
     GpParams,
     GpState,
-    Grid2D,
+    Lattice2D,
     gp_energy,
     ground_state,
     propagate,
@@ -18,14 +19,14 @@ from bosons2d.gp import (
 )
 
 
-def gaussian_state(grid: Grid2D, sigma: float, center: float | None = None) -> GpState:
+def gaussian_state(grid: Lattice2D, sigma: float, center: float | None = None) -> GpState:
     xx, yy = grid.meshes()
     c = grid.box_length / 2.0 if center is None else center
     amp = np.exp(-((xx - c) ** 2 + (yy - c) ** 2) / (4.0 * sigma ** 2))
     return GpState(grid, amp.astype(complex), 0.0).normalized()
 
 
-def cosine_field(grid: Grid2D, ax: float = 1.5, ay: float = 0.8) -> ExternalField:
+def cosine_field(grid: Lattice2D, ax: float = 1.5, ay: float = 0.8) -> ExternalField:
     kx = 2.0 * math.pi / grid.box_length
     return ExternalField.from_function(
         lambda x, y, t: ax * np.cos(kx * x) + ay * np.cos(2.0 * kx * y))
@@ -34,18 +35,19 @@ def cosine_field(grid: Grid2D, ax: float = 1.5, ay: float = 0.8) -> ExternalFiel
 # ---------------------------------------------------------------- validation
 
 def test_grid_and_params_validation():
+    with pytest.raises(ValueError, match="m must be an integer of at least 2, got 4.5"):
+        Lattice2D(4.5, 1.0)
+    assert Lattice2D(np.int64(6), 1.0).d == 36
     with pytest.raises(ValueError):
-        Grid2D(48, 8.0)
+        Lattice2D(1, 8.0)
     with pytest.raises(ValueError):
-        Grid2D(1, 8.0)
-    with pytest.raises(ValueError):
-        Grid2D(64, 0.0)
+        Lattice2D(64, 0.0)
     with pytest.raises(ValueError):
         GpParams(coupling=-1.0)
     with pytest.raises(ValueError):
         GpParams(coupling=1.0, dt=0.0)
     with pytest.raises(ValueError):
-        GpState(Grid2D(8, 1.0), np.zeros((4, 4), dtype=complex))
+        GpState(Lattice2D(8, 1.0), np.zeros((4, 4), dtype=complex))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -53,18 +55,36 @@ def test_grid_and_params_validation():
     (lambda: GpParams(coupling=math.inf), "coupling must be nonnegative and finite, got inf"),
     (lambda: GpParams(coupling=1.0, dt=math.inf), "dt must be positive and finite, got inf"),
     (lambda: GpParams(coupling=1.0, dt=math.nan), "dt must be positive and finite, got nan"),
-    (lambda: gp.Lattice2D(4, math.inf), "box_length must be positive and finite, got inf"),
-    (lambda: Grid2D(8, math.nan), "box_length must be positive and finite, got nan"),
+    (lambda: Lattice2D(4, math.inf), "box_length must be positive and finite, got inf"),
+    (lambda: Lattice2D(8, math.nan), "box_length must be positive and finite, got nan"),
 ], ids=["coupling-nan", "coupling-inf", "dt-inf", "dt-nan", "lattice-inf", "grid-nan"])
 def test_non_finite_parameters_are_rejected_by_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 
 
+def test_gp_grid_is_the_fewbody_lattice():
+    """One periodic lattice type: a GP grid of any size m >= 2 equals the
+    few-body lattice of the same (m, L) and shares its caches and the field
+    memo."""
+    from bosons2d import fewbody
+    assert gp.Grid2D is gp.Lattice2D is fewbody.Lattice2D
+    assert "Grid2D" not in gp.__all__ and "Grid2D" not in bosons2d.__all__
+    grid, lattice = Lattice2D(6, 1.5), fewbody.Lattice2D(6, 1.5)
+    assert grid == lattice and hash(grid) == hash(lattice)
+    assert grid.meshes()[0] is lattice.meshes()[0]
+    assert grid.kinetic_symbol() is lattice.kinetic_symbol()
+    assert grid.kinetic_factor(1e-3j) is lattice.kinetic_factor(1e-3j)
+    field = cosine_field(grid)
+    assert gp._field_table(field, grid, 0.25) is gp._field_table(field, lattice, 0.25)
+    state = step(gaussian_state(lattice, 0.3), field, GpParams(coupling=2.0, dt=1e-3))
+    assert state.grid == grid and state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_field_validation():
-    grid = Grid2D(8, 1.0)
-    with pytest.raises(ValueError):
-        ExternalField().evaluate(grid, 0.0)
+    with pytest.raises(TypeError):
+        ExternalField()
+    grid = Lattice2D(8, 1.0)
     diverging = ExternalField.from_function(lambda x, y, t: np.full_like(x, np.inf))
     with pytest.raises(ValueError):
         diverging.evaluate(grid, 0.0)
@@ -74,7 +94,7 @@ def test_field_validation():
 
 def test_constant_field_phase_rotation():
     """Spatially constant data kills the Laplacian: evolution is a pure phase."""
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     c = 1.0 / grid.box_length
     state = GpState(grid, np.full((32, 32), c, dtype=complex))
     params = GpParams(coupling=4.0 * math.pi, dt=1e-3)
@@ -86,7 +106,7 @@ def test_constant_field_phase_rotation():
 
 
 def test_norm_conservation_ten_thousand_steps():
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     state = gaussian_state(grid, 0.8)
     params = GpParams(coupling=4.0 * math.pi, dt=1e-3)
     field = cosine_field(grid)
@@ -103,7 +123,7 @@ def test_norm_conservation_ten_thousand_steps():
 
 def test_free_gaussian_spreading():
     """b = 0, A = 0: the analytic free solution replaces sigma^2 by sigma^2 + i t."""
-    grid = Grid2D(256, 16.0)
+    grid = Lattice2D(256, 16.0)
     sigma = 0.5
     state = gaussian_state(grid, sigma)
     params = GpParams(coupling=0.0, dt=1e-3)
@@ -117,7 +137,7 @@ def test_free_gaussian_spreading():
 
 
 def test_time_reversal():
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     state = gaussian_state(grid, 0.7)
     params = GpParams(coupling=2.0, dt=1e-2)
     field = ExternalField.from_function(
@@ -130,7 +150,7 @@ def test_time_reversal():
 
 def test_spatial_symmetry_preserved():
     """Reflection-symmetric data and field stay symmetric to roundoff."""
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     state = gaussian_state(grid, 0.9)
     params = GpParams(coupling=4.0 * math.pi, dt=1e-3)
     field = cosine_field(grid)
@@ -146,7 +166,7 @@ def test_spatial_symmetry_preserved():
 # -------------------------------------------------------------------- energy
 
 def test_energy_of_constant_state():
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     c = 1.0 / grid.box_length
     state = GpState(grid, np.full((32, 32), c, dtype=complex))
     params = GpParams(coupling=4.0 * math.pi)
@@ -155,7 +175,7 @@ def test_energy_of_constant_state():
 
 
 def test_energy_drift_second_order_in_dt():
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     state = gaussian_state(grid, 0.8)
     field = cosine_field(grid)
     horizon = 0.4
@@ -175,7 +195,7 @@ def test_energy_drift_second_order_in_dt():
 
 
 def test_energy_drift_small_at_converged_dt():
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     state = gaussian_state(grid, 0.8)
     field = cosine_field(grid)
     params = GpParams(coupling=4.0 * math.pi, dt=4e-5)
@@ -188,7 +208,7 @@ def test_energy_drift_small_at_converged_dt():
 
 def test_energy_derivative_matches_field_rate():
     """d/dt of the energy along the flow equals the mean of A-dot."""
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     kx = 2.0 * math.pi / grid.box_length
     field = ExternalField.from_function(
         lambda x, y, t: (1.0 + 0.5 * math.sin(2.0 * t)) * np.cos(kx * x),
@@ -204,7 +224,7 @@ def test_energy_derivative_matches_field_rate():
 
 
 def test_centered_difference_field_rate():
-    grid = Grid2D(16, 4.0)
+    grid = Lattice2D(16, 4.0)
     field = ExternalField.from_function(lambda x, y, t: math.sin(3.0 * t) * np.ones_like(x))
     rate = field.time_derivative(grid, 0.2)
     assert rate[0, 0] == pytest.approx(3.0 * math.cos(0.6), rel=1e-7)
@@ -213,7 +233,7 @@ def test_centered_difference_field_rate():
 # -------------------------------------------------------------- ground state
 
 def test_ground_state_free_is_constant():
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     params = GpParams(coupling=0.0, dt=0.05)
     gs = ground_state(ExternalField.zero(), params, gaussian_state(grid, 0.5))
     assert abs(gp_energy(gs, ExternalField.zero(), params)) < 1e-8
@@ -222,7 +242,7 @@ def test_ground_state_free_is_constant():
 
 def test_ground_state_uniform_interacting():
     """With b = 4pi and no field the uniform density is the minimizer."""
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     params = GpParams(coupling=4.0 * math.pi, dt=0.05)
     rng = np.random.default_rng(7)
     seed_amp = 1.0 / grid.box_length + 0.05 * rng.standard_normal((32, 32))
@@ -235,7 +255,7 @@ def test_ground_state_uniform_interacting():
 
 
 def trapped_ground_state() -> tuple[GpState, ExternalField, GpParams]:
-    grid = Grid2D(64, 8.0)
+    grid = Lattice2D(64, 8.0)
     field = cosine_field(grid, ax=0.5, ay=0.5)
     params = GpParams(coupling=4.0 * math.pi, dt=0.01)
     return ground_state(field, params, gaussian_state(grid, 1.2), energy_tol=1e-13), field, params
@@ -314,7 +334,7 @@ def test_real_seed_descends_in_real_arithmetic(monkeypatch):
     returns an imaginary part that is exactly 0; a seed e^(i theta) times the
     real one takes the complex path and returns e^(i theta) times that state.
     The set-up rejects three steps on the way down."""
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     field = cosine_field(grid)
     params = GpParams(coupling=300.0, dt=0.2)
     seed = gaussian_state(grid, 0.1)
@@ -338,8 +358,29 @@ def test_real_seed_descends_in_real_arithmetic(monkeypatch):
     assert np.max(np.abs(turned.amplitudes - turn * gs.amplitudes)) <= 1e-10 * scale
 
 
+def test_real_seed_descends_in_real_arithmetic_on_an_odd_grid(monkeypatch):
+    """On a 27 x 27 grid, where the half spectrum has no Nyquist column, the
+    real descent takes the oracle's step sizes, two of them rejected, and
+    lands on its state."""
+    grid = Lattice2D(27, 4.0)
+    field = cosine_field(grid)
+    params = GpParams(coupling=300.0, dt=0.2)
+    seed = gaussian_state(grid, 0.2)
+    oracle, oracle_taus = complex_descent(field, params, seed, 1e-10)
+
+    taus = []
+    strang = gp._strang
+    monkeypatch.setattr(gp, "_strang",
+                        lambda *args: taus.append(args[-1]) or strang(*args))
+    gs = ground_state(field, params, seed, energy_tol=1e-10)
+    assert taus == oracle_taus
+    assert sum(b < a for a, b in zip(taus, taus[1:])) == 2
+    assert not gs.amplitudes.imag.any()
+    assert np.max(np.abs(gs.amplitudes - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def test_ground_state_reports_non_convergence():
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     params = GpParams(coupling=4.0 * math.pi, dt=1e-4)
     with pytest.raises(RuntimeError, match=r"did not converge in 3 steps: 3 iterations "
                        r"\(3 accepted, 0 rejected\), energy \S+, last gain \S+, step size 1\.000e-04"):
@@ -349,7 +390,7 @@ def test_ground_state_reports_non_convergence():
 def test_ground_state_reports_a_stalled_descent(monkeypatch):
     """An energy that rises on every candidate halves the step size down to
     the 1e-14 floor, which 0.25 * 2^-45 is the first to pass."""
-    grid = Grid2D(16, 4.0)
+    grid = Lattice2D(16, 4.0)
     energies = iter(range(1000))
     monkeypatch.setattr(gp, "_mean_field_energy", lambda *args: float(next(energies)))
     with pytest.raises(RuntimeError, match=r"stalled, step size underflowed after 45 "
@@ -363,7 +404,7 @@ def test_ground_state_rejects_an_overflowing_step():
     """A first step so large that the phase overflows gives a NaN energy;
     the descent rejects it and goes on at smaller steps instead of accepting
     NaN until max_steps runs out."""
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     field = cosine_field(grid, ax=20.0)
     params = GpParams(coupling=100.0, dt=4.0)
     with np.errstate(all="ignore"):
@@ -385,7 +426,7 @@ def test_propagate_evaluates_the_field_once_per_step(monkeypatch, with_energy):
     evaluate = ExternalField.evaluate
     monkeypatch.setattr(ExternalField, "evaluate",
                         lambda self, grid, t: calls.append(t) or evaluate(self, grid, t))
-    grid = Grid2D(16, 4.0)
+    grid = Lattice2D(16, 4.0)
     kx = 2.0 * math.pi / grid.box_length
     field = ExternalField.from_function(lambda x, y, t: np.cos(kx * x - 3.0 * t))
     n = 12
@@ -400,7 +441,7 @@ def test_propagate_evaluates_the_field_once_per_step(monkeypatch, with_energy):
 
 def test_trajectory_recorder_stream():
     """propagate hands the observer the initial state and then each step's."""
-    grid = Grid2D(32, 4.0)
+    grid = Lattice2D(32, 4.0)
     state = gaussian_state(grid, 0.4)
     params = GpParams(coupling=4.0 * math.pi, dt=1e-3)
     seen = []

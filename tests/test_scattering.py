@@ -320,15 +320,12 @@ def test_positivity_refinement_study():
     assert zero_modes[-1] <= zero_modes[0] / 8.0
 
 
-def test_degenerate_pair():
-    p = build_microscopic(square_well(0.0, 0.5), N=8, beta=1.0)
-    assert p.degenerate
-    assert p.K_beta == 1.0
-    assert p.R_beta == p.inner_radius
-    assert p.g_norms == (0.0, 0.0, 0.0)
-    assert np.all(p.f_evaluate(np.linspace(0, 1, 7)) == 1.0)
-    eigenvalues, _ = positivity_refinement_study(p, grid_resolution=80, levels=1)
-    assert eigenvalues[0] >= -1e-6
+def test_zero_potential_pair_is_refused():
+    # The paper's potentials are positive; a zero one has no scattering
+    # length to soften, so the pair construction names it and stops.
+    with pytest.raises(ValueError, match=r"square well \(height=0\.0, radius=0\.5\) has no "
+                       r"positive terminal slope"):
+        build_microscopic(square_well(0.0, 0.5), N=8, beta=1.0)
 
 
 def test_positivity_study_refuses_a_core_too_deep_for_its_grid():
