@@ -35,14 +35,14 @@ from .fewbody import (
     DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
-    _dense_step,
     _on_particles,
     _pair_site_table,
     build_hamiltonian,
+    dense_matrix,
     dense_operator,
     energy_per_particle,
 )
-from .gp import ExternalField, _mean_field_energy, _strang
+from .gp import ExternalField, _finite_dt, _mean_field_energy, _strang
 
 __all__ = [
     "CondensateProjector",
@@ -292,9 +292,8 @@ def apply_weight(amplitudes: np.ndarray, projector: CondensateProjector,
 
 
 def apply_pair_table(amplitudes: np.ndarray, lattice: Lattice2D,
-                     table: np.ndarray,
-                     particles: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """Multiply by T(x_a - x_b) sampled at minimum-image site displacements.
+                     table: np.ndarray) -> np.ndarray:
+    """Multiply by T(x_0 - x_1) sampled at minimum-image site displacements.
 
     table is an (m, m) array over coordinate displacements, or a
     precomputed (d, d) site-pair matrix.
@@ -306,7 +305,7 @@ def apply_pair_table(amplitudes: np.ndarray, lattice: Lattice2D,
         site = table
     else:
         raise ValueError("table must be (m, m) over displacements or (d, d) over site pairs")
-    return amplitudes * _on_particles(site, particles, amplitudes.ndim)
+    return amplitudes * _on_particles(site, (0, 1), amplitudes.ndim)
 
 
 def spectral_gradient(amplitudes: np.ndarray, lattice: Lattice2D,
@@ -395,19 +394,31 @@ def weight_expectation(state: FewBodyState, projector: CondensateProjector,
     return float(np.sum(weight.values * distribution))
 
 
+def _field_on_lattice(phi: np.ndarray, lattice: Lattice2D,
+                      field_values: np.ndarray | None) -> np.ndarray:
+    """The external table for phi, zero when none is given; phi and the
+    table must both be (m, m) lattice samples."""
+    shape = (lattice.m, lattice.m)
+    for name, table in (("phi", phi), ("field_values", field_values)):
+        if table is not None and np.shape(table) != shape:
+            raise ValueError(f"{name} must have the lattice shape {shape}, "
+                             f"got {np.shape(table)}")
+    return np.zeros(shape) if field_values is None else field_values
+
+
 def mean_field_energy(phi: np.ndarray, lattice: Lattice2D, coupling: float,
                       field_values: np.ndarray | None = None) -> float:
     """Mean-field energy of a lattice field with the spectral kinetic term."""
-    a_now = np.zeros(phi.shape) if field_values is None else field_values
-    return _mean_field_energy(phi, lattice, coupling, a_now)
+    return _mean_field_energy(phi, lattice, coupling,
+                              _field_on_lattice(phi, lattice, field_values))
 
 
 def mean_field_step(phi: np.ndarray, lattice: Lattice2D, coupling: float,
                     field_values: np.ndarray | None = None, dt: float = 1e-3) -> np.ndarray:
     """One real-time step of the cubic mean-field equation on the lattice,
     by the splitting `gp.step` uses, with the table held static."""
-    a_now = np.zeros(phi.shape) if field_values is None else field_values
-    return _strang(phi, lattice, coupling, a_now, a_now, 1j * dt)
+    a_now = _field_on_lattice(phi, lattice, field_values)
+    return _strang(phi, lattice, coupling, a_now, a_now, 1j * _finite_dt(dt))
 
 
 def _gap_at(state: FewBodyState, projector: CondensateProjector,
@@ -582,8 +593,9 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     cubic mean-field flow with the same static external table, so the
     identity is exact up to the O(dt^2) differencing error.
 
-    The state steps by the cached eigendecomposition of `dense_matrix`, so
-    the dimension d^N may not exceed 4096 (`dense_matrix` raises above it).
+    The state steps by one real eigendecomposition of `dense_matrix`,
+    shared by the +dt and -dt steps, so the dimension d^N may not exceed
+    4096 (`dense_matrix` raises above it).
     The Chebyshev series of `propagate` would take a different number of
     terms at each dt, and the benchmark's traced `algebra_verify`, which
     cycles dt through 2e-4, 1e-4 and 5e-5, requires every pass to repeat
@@ -601,9 +613,15 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     hamiltonian = build_hamiltonian(lattice, n, interaction, field,
                                     t=state.time)
     weight = counting_weight(n, xi)
+    # The state as (dim, 2) real and imaginary columns: both basis changes are real products.
+    w, v = np.linalg.eigh(dense_matrix(hamiltonian))
+    parts = np.ascontiguousarray(state.amplitudes).reshape(-1, 1)
+    eigen_coeffs = (v.T @ parts.view(np.float64)).view(np.complex128)
 
     def expectation(shifted: float) -> float:
-        moved = FewBodyState(lattice, _dense_step(hamiltonian, state.amplitudes, shifted))
+        coeffs = eigen_coeffs * np.exp(-1j * shifted * w)[:, None]
+        moved = FewBodyState(lattice, (v @ coeffs.view(np.float64)).view(np.complex128)
+                             .reshape(state.amplitudes.shape))
         phi_t = mean_field_step(projector.phi, lattice, coupling,
                                 hamiltonian.external_field, dt=shifted)
         return weight_expectation(moved, CondensateProjector(lattice, phi_t),

@@ -2,17 +2,16 @@
 
 States live on the N-fold tensor power of the m x m site lattice, stored as
 a complex tensor with one axis of length d = m^2 per particle. The
-Hamiltonian applies a spectral single-particle Laplacian (so lattice plane
-waves are exact eigenstates), a pairwise interaction sampled at periodic
-minimum-image displacements, and an external per-site field. The spectral
-symbol is a sum of a row and a column part, so the kinetic action is one
-real m x m circulant product along each of the 2N site axes. `propagate`
-runs the Chebyshev series of the matrix exponential over an exact bound of
-the spectrum. Up to dimension 4096 `dense_matrix` gives the dense real
-symmetric matrix, assembled from Kronecker sums of the two-dimensional
-kinetic circulant plus the diagonal potential, not from the matrix-free
-action, so it checks that action independently; `_dense_step`, a cached real
-eigendecomposition of it, serves only `diagnostics.ddt_weight_identity`.
+Hamiltonian applies the spectral Laplacian of the lattice,
+`Lattice2D.kinetic_symbol()` (so lattice plane waves are exact eigenstates),
+a pairwise interaction sampled at periodic minimum-image displacements, and
+an external per-site field. That symbol is k_x^2 + k_y^2, so the kinetic
+action is one real m x m circulant of k^2 along each of the 2N site axes.
+`propagate` runs the Chebyshev series of the matrix exponential over an
+exact bound of the spectrum. Up to dimension 4096 `dense_matrix` gives the
+dense real symmetric matrix, assembled from Kronecker sums of the
+two-dimensional kinetic circulant plus the diagonal potential, not from the
+matrix-free action, so it checks that action independently.
 
 Layout: particle j is axis j of the (d,)^N amplitude tensor, and site
 (i, k) of an (m, m) table is index i m + k along it. The kinetic action
@@ -23,6 +22,7 @@ that lines a site or site-pair table up with particle axes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from typing import Callable, Sequence
@@ -31,7 +31,7 @@ import numpy as np
 import scipy.fft
 import scipy.special
 
-from .gp import ExternalField, Lattice2D
+from .gp import ExternalField, Lattice2D, _finite_dt
 
 __all__ = [
     "Lattice2D",
@@ -123,19 +123,16 @@ class FewBodyState:
 class DiscreteHamiltonian:
     """Matrix-free -sum Delta_j + sum_{j<k} U(x_j - x_k) + sum_j A(x_j).
 
-    kinetic_symbol is the per-particle spectral Laplacian multiplier |k|^2,
-    interaction_table samples U at minimum-image coordinate displacements,
-    and external_field is A at the build time, all real (m, m) arrays. The
-    symbol must split exactly into an even row part plus an even column
-    part; each becomes a real m x m circulant. The full diagonal potential
-    is precomputed as a dense tensor on the (m,)^{2N} site-axis view.
+    The Laplacian is the lattice's, `Lattice2D.kinetic_symbol()`.
+    interaction_table samples U at minimum-image coordinate displacements
+    and external_field samples A at one time, both real (m, m) arrays. The
+    full diagonal potential is precomputed as a dense tensor on the
+    (m,)^{2N} site-axis view.
     """
     lattice: Lattice2D
     n_particles: int
-    kinetic_symbol: np.ndarray
     interaction_table: np.ndarray
     external_field: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         m, n = self.lattice.m, self.n_particles
@@ -144,7 +141,7 @@ class DiscreteHamiltonian:
         dim = self.lattice.d ** n
         if dim > DIMENSION_BUDGET:
             raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")
-        for name in ("kinetic_symbol", "interaction_table", "external_field"):
+        for name in ("interaction_table", "external_field"):
             table = getattr(self, name)
             if np.iscomplexobj(table):
                 raise ValueError(f"{name} must be real, got a complex table")
@@ -152,12 +149,6 @@ class DiscreteHamiltonian:
                 raise ValueError(f"{name} must be finite, got {table[~np.isfinite(table)][0]}")
         if np.any(self.interaction_table < 0):
             raise ValueError("interaction samples must be nonnegative")
-        symbol = self.kinetic_symbol
-        rows, cols = symbol[:, 0], symbol[0, :] - symbol[0, 0]
-        mirror = (-np.arange(m)) % m
-        if not (np.array_equal(symbol, rows[:, None] + cols[None, :])
-                and np.array_equal(rows, rows[mirror]) and np.array_equal(cols, cols[mirror])):
-            raise ValueError("kinetic_symbol must be an even row part plus an even column part")
         potential_total = np.zeros((self.lattice.d,) * n)
         for p in range(n):
             potential_total = potential_total + _on_particles(self.external_field.ravel(),
@@ -166,11 +157,20 @@ class DiscreteHamiltonian:
         for a in range(n):
             for b in range(a + 1, n):
                 potential_total = potential_total + _on_particles(pair_d, (a, b), n)
-        col_circulant = _circulant(cols)
+        circulant = _circulant(self.lattice.wavenumbers() ** 2)
         object.__setattr__(self, "_potential_total", potential_total.reshape((m,) * (2 * n)))
-        object.__setattr__(self, "_circulants", (_circulant(rows), col_circulant,
-                                                 col_circulant.astype(np.complex128)))
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_circulants", (circulant, circulant.astype(np.complex128)))
+
+    @functools.cached_property
+    def spectral_interval(self) -> tuple[float, float]:
+        """[N min S + min V, N max S + max V] for the kinetic symbol S and the
+        diagonal potential V, padded by a relative roundoff margin; it holds
+        the spectrum."""
+        symbol, potential = self.lattice.kinetic_symbol(), self._potential_total
+        lo = self.n_particles * float(np.min(symbol)) + float(np.min(potential))
+        hi = self.n_particles * float(np.max(symbol)) + float(np.max(potential))
+        pad = _SPECTRAL_PAD * max(abs(lo), abs(hi))
+        return lo - pad, hi + pad
 
     def apply(self, amplitudes: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
         """V psi plus one circulant product along each of the 2N site axes:
@@ -186,11 +186,11 @@ class DiscreteHamiltonian:
         psi = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape((m,) * (2 * n))
         out = np.multiply(self._potential_total, psi,
                           out=None if out is None else out.reshape(psi.shape))
-        rows, cols, last = self._circulants
+        circulant, last = self._circulants
         psi_real, out_real = psi.view(np.float64), out.view(np.float64)
         for axis in range(2 * n - 1):
             target = out_real.reshape(m ** axis, m, -1)
-            target += np.matmul(cols if axis % 2 else rows, psi_real.reshape(m ** axis, m, -1))
+            target += np.matmul(circulant, psi_real.reshape(m ** axis, m, -1))
         target = out.reshape(-1, m)
         target += psi.reshape(-1, m) @ last
         return out.reshape(amplitudes.shape)
@@ -220,8 +220,7 @@ def build_hamiltonian(lattice: Lattice2D, n_particles: int,
                            dtype=float).reshape(lattice.m, lattice.m)
     a_now = (np.zeros((lattice.m, lattice.m)) if field is None
              else field.evaluate(lattice, t))
-    return DiscreteHamiltonian(lattice, int(n_particles), lattice.kinetic_symbol(), table,
-                               a_now, time=t)
+    return DiscreteHamiltonian(lattice, int(n_particles), table, a_now)
 
 
 def dense_operator(apply_fn: Callable[[np.ndarray], np.ndarray],
@@ -240,8 +239,8 @@ def dense_operator(apply_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def dense_matrix(hamiltonian: DiscreteHamiltonian) -> np.ndarray:
-    """Dense real symmetric float64 matrix of the operator, cached on it;
-    only for dimensions <= 4096.
+    """Dense real symmetric float64 matrix of the operator; only for
+    dimensions <= 4096.
 
     The one-particle kinetic matrix is the circulant of the inverse FFT of
     the |k|^2 symbol, which is real and even; the N-particle kinetic matrix
@@ -252,31 +251,13 @@ def dense_matrix(hamiltonian: DiscreteHamiltonian) -> np.ndarray:
     dim = lattice.d ** n
     if dim > _DENSE_LIMIT:
         raise ValueError(f"dense form limited to dimension {_DENSE_LIMIT}, got {dim}")
-    cache = hamiltonian._cache
-    if "dense" not in cache:
-        one = _pair_site_table(lattice.m, scipy.fft.ifft2(hamiltonian.kinetic_symbol).real)
-        total = one
-        for p in range(1, n):
-            total = np.kron(total, np.eye(lattice.d))
-            total += np.kron(np.eye(lattice.d ** p), one)
-        total[np.diag_indices(dim)] += hamiltonian._potential_total.ravel()
-        cache["dense"] = total
-    return cache["dense"]
-
-
-def _dense_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
-                dt: float) -> np.ndarray:
-    """exp(-i dt H) by the cached real eigendecomposition; the complex state
-    is read as (dim, 2) real and imaginary columns, so both basis changes
-    are real matrix products."""
-    cache = hamiltonian._cache
-    if "eig" not in cache:
-        cache["eig"] = np.linalg.eigh(dense_matrix(hamiltonian))
-    w, v = cache["eig"]
-    parts = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1, 1)
-    coeffs = (v.T @ parts.view(np.float64)).view(np.complex128)
-    coeffs *= np.exp(-1j * dt * w)[:, None]
-    return (v @ coeffs.view(np.float64)).view(np.complex128).reshape(amplitudes.shape)
+    one = _pair_site_table(lattice.m, scipy.fft.ifft2(lattice.kinetic_symbol()).real)
+    total = one
+    for p in range(1, n):
+        total = np.kron(total, np.eye(lattice.d))
+        total += np.kron(np.eye(lattice.d ** p), one)
+    total[np.diag_indices(dim)] += hamiltonian._potential_total.ravel()
+    return total
 
 
 def _series_length(reach: float) -> int:
@@ -301,22 +282,14 @@ def _chebyshev_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray,
     """exp(-i dt H) v by the Chebyshev series of Tal-Ezer and Kosloff
     (J. Chem. Phys. 81, 3967, 1984).
 
-    The spectrum lies in [N min S + min V, N max S + max V] (kinetic symbol
-    S, diagonal potential V), padded by a relative roundoff margin. With
+    The spectrum lies in the Hamiltonian's `spectral_interval`. With
     centre c and half-width R, exp(-i dt H) = exp(-i dt c) sum_k
     (2 - delta_k0) (-i sign dt)^k J_k(|dt| R) T_k((H - c) / R), truncated
     where |J_k| falls below roundoff. Three vectors follow the three-term
     recurrence and a fourth holds the sum; one scratch vector takes every
     scaled term, so no term allocates an array.
     """
-    cache = hamiltonian._cache
-    if "interval" not in cache:
-        n, potential = hamiltonian.n_particles, hamiltonian._potential_total
-        lo = n * float(np.min(hamiltonian.kinetic_symbol)) + float(np.min(potential))
-        hi = n * float(np.max(hamiltonian.kinetic_symbol)) + float(np.max(potential))
-        pad = _SPECTRAL_PAD * max(abs(lo), abs(hi))
-        cache["interval"] = (lo - pad, hi + pad)
-    lo, hi = cache["interval"]
+    lo, hi = hamiltonian.spectral_interval
     centre, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     reach = abs(dt) * half
     count = _series_length(reach)
@@ -353,8 +326,9 @@ def propagate(state: FewBodyState, hamiltonian: DiscreteHamiltonian,
     10 000 terms, about |dt| times the spectral half-width."""
     if state.lattice != hamiltonian.lattice or state.n_particles != hamiltonian.n_particles:
         raise ValueError("state and Hamiltonian live on different spaces")
-    amp = _chebyshev_step(hamiltonian, state.amplitudes, float(dt))
-    return FewBodyState(state.lattice, amp, state.time + float(dt))
+    dt = _finite_dt(dt)
+    amp = _chebyshev_step(hamiltonian, state.amplitudes, dt)
+    return FewBodyState(state.lattice, amp, state.time + dt)
 
 
 def energy_per_particle(state: FewBodyState, hamiltonian: DiscreteHamiltonian) -> float:

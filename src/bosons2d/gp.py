@@ -264,10 +264,18 @@ def _field_table(field: ExternalField, grid: Lattice2D, t: float) -> np.ndarray:
     return table
 
 
+def _finite_dt(dt: float) -> float:
+    """dt as a float; a NaN or infinite step raises by name."""
+    dt = float(dt)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+    return dt
+
+
 def step(state: GpState, field: ExternalField, params: GpParams,
          dt: float | None = None) -> GpState:
     """One Strang step; dt overrides params.dt (negative reverses time)."""
-    dt = params.dt if dt is None else float(dt)
+    dt = params.dt if dt is None else _finite_dt(dt)
     grid = state.grid
     psi = _strang(state.amplitudes, grid, params.coupling, _field_table(field, grid, state.time),
                   _field_table(field, grid, state.time + dt), 1j * dt)

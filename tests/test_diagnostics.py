@@ -38,6 +38,7 @@ from bosons2d.fewbody import (
     build_hamiltonian,
     energy_per_particle,
     jastrow_initial_state,
+    propagate,
 )
 from bosons2d.gp import ExternalField, GpParams, GpState, step as gp_step
 from bosons2d.potentials import make_scaled
@@ -315,14 +316,14 @@ def test_apply_pair_table_matches_brute_force():
     rng = np.random.default_rng(2)
     table = rng.standard_normal((lat.m, lat.m))
     amp = rng.standard_normal((lat.d,) * 3) + 1j * rng.standard_normal((lat.d,) * 3)
-    out = apply_pair_table(amp, lat, table, particles=(0, 2))
+    out = apply_pair_table(amp, lat, table)
     from bosons2d.fewbody import _pair_site_table
     site = _pair_site_table(lat.m, table)
     brute = np.empty_like(amp)
     for a in range(lat.d):
         for b in range(lat.d):
             for c in range(lat.d):
-                brute[a, b, c] = amp[a, b, c] * site[a, c]
+                brute[a, b, c] = amp[a, b, c] * site[a, b]
     assert np.max(np.abs(out - brute)) < 1e-14
     with pytest.raises(ValueError):
         apply_pair_table(amp, lat, np.ones((3, 5)))
@@ -368,6 +369,34 @@ def test_mean_field_step_matches_gp_step():
     # norm preserved to roundoff
     cell = lat.spacing ** 2
     assert float(np.sum(np.abs(mine) ** 2)) * cell == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stepper", ["gp.step", "mean_field_step", "fewbody.propagate"])
+def test_non_finite_time_steps_are_rejected_by_name(stepper, value):
+    """A NaN step would otherwise return an all-NaN field without a sound."""
+    lat = Lattice2D(4, 1.0)
+    phi = lattice_field(lat)
+    calls = {
+        "gp.step": lambda: gp_step(GpState(lat, phi), ExternalField.zero(),
+                                   GpParams(coupling=1.0), dt=value),
+        "mean_field_step": lambda: mean_field_step(phi, lat, 1.0, dt=value),
+        "fewbody.propagate": lambda: propagate(random_symmetric_state(lat, 2, 5),
+                                               build_hamiltonian(lat, 2), value),
+    }
+    with pytest.raises(ValueError, match=f"dt must be finite, got {value}"):
+        calls[stepper]()
+
+
+@pytest.mark.parametrize("call", [mean_field_energy, mean_field_step])
+def test_mean_field_tables_off_the_lattice_are_rejected_by_name(call):
+    """A (1, m) field would broadcast against the (m, m) symbol: the energy
+    returned a number and the step an unnamed broadcast error."""
+    lat = Lattice2D(4, 1.0)
+    with pytest.raises(ValueError, match=r"phi must have the lattice shape \(4, 4\)"):
+        call(np.ones((1, 4)), lat, 1.0)
+    with pytest.raises(ValueError, match=r"field_values must have the lattice shape"):
+        call(lattice_field(lat), lat, 1.0, np.zeros((4, 1)))
 
 
 def test_energy_gap_vanishes_for_free_product():

@@ -92,10 +92,8 @@ def test_hermiticity_on_random_pairs():
 
 def test_interaction_table_nonnegative():
     lat = Lattice2D(4, 1.0)
-    k = lat.wavenumbers()
-    kin = k[:, None] ** 2 + k[None, :] ** 2
     with pytest.raises(ValueError):
-        DiscreteHamiltonian(lat, 1, kin, -np.ones((4, 4)), np.zeros((4, 4)))
+        DiscreteHamiltonian(lat, 1, -np.ones((4, 4)), np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("field_name", ["interaction_table", "external_field"])
@@ -105,17 +103,15 @@ def test_complex_tables_are_rejected_by_name(field_name):
     tables = {"interaction_table": np.zeros((4, 4)), "external_field": np.zeros((4, 4))}
     tables[field_name] = tables[field_name] + 0.5j
     with pytest.raises(ValueError, match=field_name):
-        DiscreteHamiltonian(lat, 1, lat.kinetic_symbol(), **tables)
+        DiscreteHamiltonian(lat, 1, **tables)
 
 
-@pytest.mark.parametrize("field_name", ["kinetic_symbol", "interaction_table",
-                                        "external_field"])
+@pytest.mark.parametrize("field_name", ["interaction_table", "external_field"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_tables_are_rejected_by_name(field_name, value):
     """A NaN pair table would otherwise propagate to a NaN state without a sound."""
     lat = Lattice2D(4, 1.0)
-    tables = {"kinetic_symbol": np.array(lat.kinetic_symbol()),
-              "interaction_table": np.zeros((4, 4)), "external_field": np.zeros((4, 4))}
+    tables = {"interaction_table": np.zeros((4, 4)), "external_field": np.zeros((4, 4))}
     tables[field_name][1, 2] = value
     with pytest.raises(ValueError, match=f"{field_name} must be finite, got {value}"):
         DiscreteHamiltonian(lat, 2, **tables)
