@@ -64,7 +64,6 @@ from .diagnostics import (
     RateComparison,
     WeightFunction,
     alpha_full,
-    counting_difference,
     counting_weight,
     ddt_weight_identity,
     diagnostics_report,
@@ -135,7 +134,6 @@ __all__ = [
     "RateComparison",
     "WeightFunction",
     "alpha_full",
-    "counting_difference",
     "counting_weight",
     "ddt_weight_identity",
     "diagnostics_report",

@@ -561,15 +561,14 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     interaction, micro, coupling = _scaled_interaction(config, n)
     field = _cosine_field(config.field_amplitude, config.box_length)
     hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=0.0)
-    field_table = None if field is None else hamiltonian.external_field
 
     phi = _lattice_condensate(lattice).astype(np.complex128)
     state = jastrow_initial_state(phi, None, lattice, n)
     floor = counting_weight(n, config.xi).values[0]
 
     def sample(s: FewBodyState, phi_now: np.ndarray, t: float) -> tuple:
-        report = diagnostics_report(s, CondensateProjector(lattice, phi_now), interaction,
-                                    coupling, field, micro, config.xi, hamiltonian)
+        report = diagnostics_report(s, CondensateProjector(lattice, phi_now), hamiltonian,
+                                    coupling, micro, config.xi)
         full = report.alpha_less if report.alpha_full is None else report.alpha_full
         return (t, report.alpha_less, full, report.trace_distance, report.n_expect,
                 report.energy_gap), report.m_expect
@@ -586,7 +585,7 @@ def _run_compare(config: ExperimentConfig, out_dir: Path, log: AssertionLog) -> 
     for i in range(n_steps):
         state = fewbody_propagate(state, hamiltonian, config.dt)
         for _ in range(config.substeps):
-            phi = mean_field_step(phi, lattice, coupling, field_table, dt=sub_dt)
+            phi = mean_field_step(phi, lattice, coupling, hamiltonian.external_field, dt=sub_dt)
         rows.append(sample(state, phi, (i + 1) * config.dt)[0])
 
     log.require_below("final-norm-drift", abs(state.norm() - 1.0), 1e-10)

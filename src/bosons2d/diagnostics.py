@@ -9,8 +9,8 @@ Nonnegative weights of that count turn the distribution into counting
 functionals that, together with an energy gap and an optional short-range
 correlation correction, quantify how far the exact few-body dynamics strays
 from its mean-field surrogate. `diagnostics_report` computes all of them
-for one snapshot from one reflected copy of the state and one many-body
-energy, and `alpha_full` reads it. The module also
+for one snapshot from one reflected copy of the state and the run's
+`DiscreteHamiltonian`, and `alpha_full` reads it. The module also
 provides the one-particle reduced density matrix and trace distance, an exact
 time-derivative identity relating the counting functional's rate to a
 commutator expectation, and a seeded verification suite for the projector
@@ -49,11 +49,6 @@ __all__ = [
     "WeightFunction",
     "number_weight",
     "counting_weight",
-    "counting_difference",
-    "count_components",
-    "apply_weight",
-    "apply_pair_table",
-    "spectral_gradient",
     "dense_operator",
     "gamma1",
     "trace_distance",
@@ -131,7 +126,6 @@ class WeightFunction:
     source index falls outside 0..N receiving weight zero.
     """
     values: np.ndarray
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -152,7 +146,7 @@ class WeightFunction:
         inside = (source >= 0) & (source <= n)
         vals = np.zeros(n + 1)
         vals[inside] = self.values[source[inside]]
-        return WeightFunction(vals, f"{self.name}_{int(d):+d}")
+        return WeightFunction(vals)
 
     def operator_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -160,8 +154,7 @@ class WeightFunction:
     def product(self, other: "WeightFunction") -> "WeightFunction":
         if other.n_particles != self.n_particles:
             raise ValueError("weights must share the particle count")
-        return WeightFunction(self.values * other.values,
-                              f"{self.name}*{other.name}")
+        return WeightFunction(self.values * other.values)
 
 
 def _counting_formula(k: np.ndarray, n_particles: int, xi: float) -> np.ndarray:
@@ -184,14 +177,14 @@ def _check_xi(xi: float) -> float:
 def number_weight(n_particles: int) -> WeightFunction:
     """w(k) = sqrt(k/N): the square root of the relative count outside."""
     k = np.arange(n_particles + 1, dtype=float)
-    return WeightFunction(np.sqrt(k / n_particles), "n")
+    return WeightFunction(np.sqrt(k / n_particles))
 
 
 def counting_weight(n_particles: int, xi: float = 0.25) -> WeightFunction:
     """The flattened count weight used by the counting functionals."""
     xi = _check_xi(xi)
     k = np.arange(n_particles + 1)
-    return WeightFunction(_counting_formula(k, n_particles, xi), "m")
+    return WeightFunction(_counting_formula(k, n_particles, xi))
 
 
 def counting_difference(n_particles: int, gap: int, xi: float = 0.25) -> WeightFunction:
@@ -202,7 +195,7 @@ def counting_difference(n_particles: int, gap: int, xi: float = 0.25) -> WeightF
     k = np.arange(n_particles + 1)
     vals = (_counting_formula(k, n_particles, xi)
             - _counting_formula(k + gap, n_particles, xi))
-    return WeightFunction(vals, "m^a" if gap == 1 else "m^b")
+    return WeightFunction(vals)
 
 
 def _reflect(tensor: np.ndarray, vector: np.ndarray, beta: float) -> np.ndarray:
@@ -291,21 +284,10 @@ def apply_weight(amplitudes: np.ndarray, projector: CondensateProjector,
     return _count_basis(amplitudes, projector).weighted(weight.values)
 
 
-def apply_pair_table(amplitudes: np.ndarray, lattice: Lattice2D,
-                     table: np.ndarray) -> np.ndarray:
-    """Multiply by T(x_0 - x_1) sampled at minimum-image site displacements.
-
-    table is an (m, m) array over coordinate displacements, or a
-    precomputed (d, d) site-pair matrix.
-    """
-    table = np.asarray(table)
-    if table.shape == (lattice.m, lattice.m):
-        site = _pair_site_table(lattice.m, table)
-    elif table.shape == (lattice.d, lattice.d):
-        site = table
-    else:
-        raise ValueError("table must be (m, m) over displacements or (d, d) over site pairs")
-    return amplitudes * _on_particles(site, (0, 1), amplitudes.ndim)
+def apply_pair_table(amplitudes: np.ndarray, site_pairs: np.ndarray) -> np.ndarray:
+    """Multiply by a (d, d) site-pair table T(x_0, x_1) on particles 0 and 1;
+    `_pair_site_table` lays an (m, m) displacement table out that way."""
+    return amplitudes * _on_particles(site_pairs, (0, 1), amplitudes.ndim)
 
 
 def spectral_gradient(amplitudes: np.ndarray, lattice: Lattice2D,
@@ -421,25 +403,6 @@ def mean_field_step(phi: np.ndarray, lattice: Lattice2D, coupling: float,
     return _strang(phi, lattice, coupling, a_now, a_now, 1j * _finite_dt(dt))
 
 
-def _gap_at(state: FewBodyState, projector: CondensateProjector,
-            interaction: Callable[[np.ndarray], np.ndarray] | None,
-            field: ExternalField | None,
-            hamiltonian: DiscreteHamiltonian | None) -> Callable[[float], float]:
-    """|many-body energy per particle - mean-field energy of the reference|
-    as a function of the mean-field coupling, from one many-body energy; the
-    Hamiltonian rules are those of `diagnostics_report`."""
-    if hamiltonian is None:
-        hamiltonian = build_hamiltonian(state.lattice, state.n_particles,
-                                        interaction, field, t=state.time)
-    elif (hamiltonian.lattice != state.lattice
-          or hamiltonian.n_particles != state.n_particles):
-        raise ValueError("state and Hamiltonian live on different spaces")
-    many = energy_per_particle(state, hamiltonian)
-    a_now = None if field is None else hamiltonian.external_field
-    return lambda coupling: abs(
-        many - mean_field_energy(projector.phi, state.lattice, coupling, a_now))
-
-
 def _projected_pair_terms(state: FewBodyState, projector: CondensateProjector
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p1 p2, p1 q2, q1 p2) projections of the amplitudes."""
@@ -494,10 +457,13 @@ def alpha_full(state: FewBodyState, projector: CondensateProjector,
     micro supplies the depletion profile g = 1 - f of the softened pair
     construction; the effective mean-field coupling is fixed at 4*pi by
     the scattering normalization of that scaling. The result is read from
-    `diagnostics_report` at that coupling, under hamiltonian when given.
+    `diagnostics_report` at that coupling, under hamiltonian or, when none
+    is given, under one built from interaction and field at the state's time.
     """
-    report = diagnostics_report(state, projector, interaction, EFFECTIVE_COUPLING,
-                                field, micro, xi, hamiltonian)
+    if hamiltonian is None:
+        hamiltonian = build_hamiltonian(state.lattice, state.n_particles,
+                                        interaction, field, t=state.time)
+    report = diagnostics_report(state, projector, hamiltonian, EFFECTIVE_COUPLING, micro, xi)
     return AlphaFullResult(report.alpha_full, report.m_expect, report.energy_gap,
                            report.correction_term, report.used_correction)
 
@@ -518,43 +484,41 @@ class DiagnosticsReport:
 
 
 def diagnostics_report(state: FewBodyState, projector: CondensateProjector,
-                       interaction: Callable[[np.ndarray], np.ndarray] | None = None,
-                       coupling: float = 0.0, field: ExternalField | None = None,
-                       micro=None, xi: float = 0.25,
-                       hamiltonian: DiscreteHamiltonian | None = None) -> DiagnosticsReport:
+                       hamiltonian: DiscreteHamiltonian, coupling: float = 0.0,
+                       micro=None, xi: float = 0.25) -> DiagnosticsReport:
     """All condensation diagnostics of one state snapshot, in one pass.
 
     One reflection of the state into the count basis gives the count
     distribution and, with one reflection back, the correction's
-    pair-weighted vector; one many-body energy serves every gap. It is taken
-    under hamiltonian when one is given (it must live on the state's lattice
-    and particle count), else under one built from interaction and field at
-    the state's time. The mean-field term reads that Hamiltonian's field
-    table, so both terms see one A; with field=None it takes no field. The
-    energy gap and the plain counting functional (alpha_less) use the
-    supplied coupling. With micro given, the correlation-corrected
-    functional is evaluated at the fixed effective coupling of the
-    exponential scaling; the correction is dropped when the lattice cannot
-    resolve the depletion profile.
+    pair-weighted vector. hamiltonian, which must live on the state's
+    lattice and particle count, serves every energy gap: its energy per
+    particle is taken once, and the mean-field term reads its field table,
+    so both terms see one A. The energy gap and the plain counting
+    functional (alpha_less) use the supplied coupling. With micro given,
+    the correlation-corrected functional is evaluated at the fixed effective
+    coupling of the exponential scaling; the correction is dropped when the
+    lattice cannot resolve the depletion profile.
     """
-    n = state.n_particles
+    n, lattice = state.n_particles, state.lattice
+    if hamiltonian.lattice != lattice or hamiltonian.n_particles != n:
+        raise ValueError("state and Hamiltonian live on different spaces")
     if micro is not None and n < 2:
         raise ValueError("need at least two particles for the pair correction")
     basis, distribution = _count_distribution(state, projector)
     n_expect, n_square = _relative_moments(distribution)
     m_expect = float(np.sum(counting_weight(n, xi).values * distribution))
-    gap_at = _gap_at(state, projector, interaction, field, hamiltonian)
+    many, a_now = energy_per_particle(state, hamiltonian), hamiltonian.external_field
+    gap_at = lambda c: abs(many - mean_field_energy(projector.phi, lattice, c, a_now))
     gap = gap_at(coupling)
     gamma = gamma1(state)
     full, correction, used = None, 0.0, False
     if micro is not None:
-        lattice = state.lattice
         used = bool(micro.R_beta >= lattice.spacing)
         if used:
             g_table = micro.g_evaluate(lattice.minimum_image_distances().ravel()
                                        ).reshape(lattice.m, lattice.m)
             overlap = np.vdot(state.amplitudes, apply_pair_table(
-                _apply_pair_weighted(basis, xi), lattice, g_table))
+                _apply_pair_weighted(basis, xi), _pair_site_table(lattice.m, g_table)))
             correction = -n * (n - 1) * float(np.real(overlap)) * projector.cell ** n
         full = m_expect + gap_at(EFFECTIVE_COUPLING) + correction
     return DiagnosticsReport(gamma, trace_distance(gamma, projector), n_expect,
@@ -638,7 +602,7 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
                              + _on_particles(density_flat, (1,), n))
 
     def apply_gap_operator(amplitudes: np.ndarray) -> np.ndarray:
-        return (apply_pair_table(amplitudes, lattice, pair_site)
+        return (apply_pair_table(amplitudes, pair_site)
                 - strength * apply_mean_part(amplitudes))
 
     amps = state.amplitudes
@@ -658,7 +622,7 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     part_single = -2.0 * n * (n - 1) * float(np.imag(np.vdot(
         pq, apply_weight(apply_gap_operator(pp), projector, w_one_back)))) * cell_n
     part_bare = -n * (n - 1) * float(np.imag(np.vdot(
-        qq, apply_weight(apply_pair_table(pp, lattice, pair_site),
+        qq, apply_weight(apply_pair_table(pp, pair_site),
                          projector, w_two_back)))) * cell_n
     part_cross = -2.0 * n * (n - 1) * float(np.imag(np.vdot(
         qq, apply_weight(apply_gap_operator(pq), projector, w_one_back)))) * cell_n
@@ -813,7 +777,7 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
     # Shift rule: moving a weight through a fixed-count block of a pair
     # multiplication operator reindexes the weight by the count change.
     pair_random = rng.standard_normal((d, d))
-    f_pair = lambda v: apply_pair_table(v, lattice, pair_random)
+    f_pair = lambda v: apply_pair_table(v, pair_random)
     blocks = {
         0: lambda v: p(p(v, 0), 1),
         1: lambda v: q(p(v, 0), 1),
@@ -843,8 +807,8 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
     def commutator_lhs(v: np.ndarray) -> np.ndarray:
         return f_pair(mhat(v)) - mhat(f_pair(v))
 
-    w_step1 = WeightFunction(w_m.values - w_m.shifted(1).values, "m-step1")
-    w_step2 = WeightFunction(w_m.values - w_m.shifted(2).values, "m-step2")
+    w_step1 = WeightFunction(w_m.values - w_m.shifted(1).values)
+    w_step2 = WeightFunction(w_m.values - w_m.shifted(2).values)
 
     def stepped(v: np.ndarray) -> np.ndarray:
         both = apply_weight(blocks[0](v), projector, w_step2)
@@ -861,7 +825,7 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
     site_disp = _pair_site_table(lattice.m, disp_values)
     density = np.abs(projector.phi.ravel()) ** 2
     convolved = cell * (site_disp.T @ density)
-    lhs = p(apply_pair_table(p(probe, 0), lattice, site_disp), 0)
+    lhs = p(apply_pair_table(p(probe, 0), site_disp), 0)
     rhs = p(probe * _on_particles(convolved, (1,), n), 0)
     record("convolution-identity", norm(lhs - rhs))
 
@@ -884,7 +848,7 @@ def operator_algebra_suite(projector: CondensateProjector, n_particles: int,
 
     # Symmetric-subset inequalities: complement projections are controlled
     # by weighted relative counts on states symmetric in a subset.
-    f_weight = WeightFunction(rng.uniform(0.1, 1.0, n + 1), "random")
+    f_weight = WeightFunction(rng.uniform(0.1, 1.0, n + 1))
     fhat = lambda v: apply_weight(v, projector, f_weight)
     subset_a = list(range(n)) if n == 2 else [0, 1]
     psi_a = symmetrize(random_tensor(), subset_a)

@@ -143,6 +143,9 @@ class DiscreteHamiltonian:
             raise ValueError(f"Hilbert dimension {dim} exceeds budget {DIMENSION_BUDGET}")
         for name in ("interaction_table", "external_field"):
             table = getattr(self, name)
+            if np.shape(table) != (m, m):
+                raise ValueError(f"{name} must have the lattice shape {(m, m)}, "
+                                 f"got {np.shape(table)}")
             if np.iscomplexobj(table):
                 raise ValueError(f"{name} must be real, got a complex table")
             if not np.isfinite(table).all():
@@ -157,9 +160,8 @@ class DiscreteHamiltonian:
         for a in range(n):
             for b in range(a + 1, n):
                 potential_total = potential_total + _on_particles(pair_d, (a, b), n)
-        circulant = _circulant(self.lattice.wavenumbers() ** 2)
         object.__setattr__(self, "_potential_total", potential_total.reshape((m,) * (2 * n)))
-        object.__setattr__(self, "_circulants", (circulant, circulant.astype(np.complex128)))
+        object.__setattr__(self, "_circulant", _circulant(self.lattice.wavenumbers() ** 2))
 
     @functools.cached_property
     def spectral_interval(self) -> tuple[float, float]:
@@ -176,7 +178,7 @@ class DiscreteHamiltonian:
         """V psi plus one circulant product along each of the 2N site axes:
         real products on the float64 view (real and imaginary parts side by
         side in the last axis) for every axis but the last, and a complex
-        product for the last one.
+        product, to which numpy casts the same real circulant, for the last.
 
         With out given (a C-contiguous complex128 array of the amplitudes'
         size that does not overlap them) the result is written there and out
@@ -186,13 +188,13 @@ class DiscreteHamiltonian:
         psi = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape((m,) * (2 * n))
         out = np.multiply(self._potential_total, psi,
                           out=None if out is None else out.reshape(psi.shape))
-        circulant, last = self._circulants
+        circulant = self._circulant
         psi_real, out_real = psi.view(np.float64), out.view(np.float64)
         for axis in range(2 * n - 1):
             target = out_real.reshape(m ** axis, m, -1)
             target += np.matmul(circulant, psi_real.reshape(m ** axis, m, -1))
         target = out.reshape(-1, m)
-        target += psi.reshape(-1, m) @ last
+        target += psi.reshape(-1, m) @ circulant
         return out.reshape(amplitudes.shape)
 
 

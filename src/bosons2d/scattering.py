@@ -64,6 +64,7 @@ class RadialPotential:
 
     profile is only trusted inside [0, support_radius]; evaluation clamps
     to zero outside so the compact-support invariant holds by construction.
+    A NaN radius is neither inside nor outside, and raises by name.
     """
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
@@ -77,16 +78,24 @@ class RadialPotential:
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        inside = r <= self.support_radius
+        inside = r <= self.support_radius  # False at a NaN radius, as r > support is
+        n_inside = np.count_nonzero(inside)  # cheaper than a reduction on the ODE's one radius
+        if n_inside == r.size:
+            return self._checked(np.array(self.profile(r), dtype=float))
+        if n_inside + np.count_nonzero(r > self.support_radius) < r.size:
+            raise ValueError("a radius is NaN; the potential is defined at real radii only")
         out = np.zeros_like(r)
-        if np.any(inside):
-            vals = np.asarray(self.profile(r[inside]), dtype=float)
-            if not (vals >= -1e-300).all():  # NaN fails the comparison too
-                bad = vals[~(vals >= -1e-300)][0]
-                raise ValueError(f"potential sample {bad} is negative or NaN; "
-                                 "only V >= 0 is supported")
-            out[inside] = vals
+        if n_inside:
+            out[inside] = self._checked(np.asarray(self.profile(r[inside]), dtype=float))
         return out
+
+    @staticmethod
+    def _checked(vals: np.ndarray) -> np.ndarray:
+        if not (vals >= -1e-300).all():  # NaN fails the comparison too
+            bad = vals[~(vals >= -1e-300)][0]
+            raise ValueError(f"potential sample {bad} is negative or NaN; "
+                             "only V >= 0 is supported")
+        return vals
 
     def internal_breakpoints(self) -> tuple[float, ...]:
         return tuple(b for b in self.breakpoints if 0.0 < b < self.support_radius)

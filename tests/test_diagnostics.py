@@ -35,6 +35,7 @@ from bosons2d.fewbody import (
     DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
+    _pair_site_table,
     build_hamiltonian,
     energy_per_particle,
     jastrow_initial_state,
@@ -152,7 +153,7 @@ def test_counting_number_gap_is_half_power():
 
 
 def test_weight_shift_zero_fills():
-    w = WeightFunction(np.array([1.0, 2.0, 3.0]), "custom")
+    w = WeightFunction(np.array([1.0, 2.0, 3.0]))
     assert np.allclose(w.shifted(1).values, [2.0, 3.0, 0.0])
     assert np.allclose(w.shifted(-1).values, [0.0, 1.0, 2.0])
     assert np.allclose(w.shifted(2).values, [3.0, 0.0, 0.0])
@@ -316,17 +317,14 @@ def test_apply_pair_table_matches_brute_force():
     rng = np.random.default_rng(2)
     table = rng.standard_normal((lat.m, lat.m))
     amp = rng.standard_normal((lat.d,) * 3) + 1j * rng.standard_normal((lat.d,) * 3)
-    out = apply_pair_table(amp, lat, table)
-    from bosons2d.fewbody import _pair_site_table
     site = _pair_site_table(lat.m, table)
+    out = apply_pair_table(amp, site)
     brute = np.empty_like(amp)
     for a in range(lat.d):
         for b in range(lat.d):
             for c in range(lat.d):
                 brute[a, b, c] = amp[a, b, c] * site[a, b]
     assert np.max(np.abs(out - brute)) < 1e-14
-    with pytest.raises(ValueError):
-        apply_pair_table(amp, lat, np.ones((3, 5)))
 
 
 def test_pair_table_application_matches_hamiltonian_potential():
@@ -339,7 +337,7 @@ def test_pair_table_application_matches_hamiltonian_potential():
     h_free = build_hamiltonian(lat, 2, None)
     via_h = h_full.apply(state.amplitudes) - h_free.apply(state.amplitudes)
     table = np.asarray(W(lat.minimum_image_distances().ravel())).reshape(lat.m, lat.m)
-    via_table = apply_pair_table(state.amplitudes, lat, table)
+    via_table = apply_pair_table(state.amplitudes, _pair_site_table(lat.m, table))
     assert np.max(np.abs(via_h - via_table)) < 1e-11
 
 
@@ -405,7 +403,7 @@ def test_energy_gap_vanishes_for_free_product():
     proj = CondensateProjector(lat, phi)
     state = product_state(lat, phi, 2)
     field = ExternalField.from_function(lambda x, y, t: np.sin(2 * math.pi * x))
-    report = diagnostics_report(state, proj, None, 0.0, field)
+    report = diagnostics_report(state, proj, build_hamiltonian(lat, 2, None, field))
     assert report.energy_gap < 1e-12
     # the counting functional bottoms out at the flattened floor m(0)
     floor = counting_weight(2, xi=0.25).values[0]
@@ -423,7 +421,6 @@ def test_energy_gap_product_state_interaction_oracle():
     W = make_scaled("W_beta", base, N=2, beta=0.5)
     cell = lat.spacing ** 2
     table = np.asarray(W(lat.minimum_image_distances().ravel())).reshape(lat.m, lat.m)
-    from bosons2d.fewbody import _pair_site_table
     site = _pair_site_table(lat.m, table)
     dens = np.abs(phi.ravel()) ** 2
     pair_energy = 0.5 * float(dens @ site @ dens) * cell ** 2
@@ -432,7 +429,8 @@ def test_energy_gap_product_state_interaction_oracle():
     assert many == pytest.approx(free + pair_energy, rel=1e-11)
     # choosing the coupling that reproduces the pair term closes the gap
     matched = 2.0 * pair_energy / (cell * float(np.sum(np.abs(phi) ** 4)))
-    assert diagnostics_report(state, proj, W, matched).energy_gap < 1e-11
+    assert diagnostics_report(state, proj, build_hamiltonian(lat, 2, W),
+                              matched).energy_gap < 1e-11
 
 
 def test_energy_gap_reads_the_field_from_a_given_hamiltonian(monkeypatch):
@@ -464,8 +462,7 @@ def test_energy_gap_terms_share_the_hamiltonian_field_table():
     W = make_scaled("W_beta", square_well(4.0, 0.5), N=2, beta=0.5)
     field = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * (x + t)))
     hamiltonian = build_hamiltonian(lat, 2, W, field, t=0.0)
-    gap = diagnostics_report(state, proj, W, 4.0 * math.pi, field,
-                             hamiltonian=hamiltonian).energy_gap
+    gap = diagnostics_report(state, proj, hamiltonian, 4.0 * math.pi).energy_gap
     expected = abs(energy_per_particle(state, hamiltonian)
                    - mean_field_energy(proj.phi, lat, 4.0 * math.pi, hamiltonian.external_field))
     assert gap == expected
@@ -487,7 +484,8 @@ def test_alpha_full_without_resolvable_core_is_alpha_less():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = alpha_full(state, proj, V, micro)
-        plain = diagnostics_report(state, proj, V, 4.0 * math.pi).alpha_less
+        plain = diagnostics_report(state, proj, build_hamiltonian(lat, 2, V),
+                                   4.0 * math.pi).alpha_less
     assert not result.used_correction
     assert result.correction_term == 0.0
     assert result.value == pytest.approx(plain, rel=1e-12)
@@ -546,7 +544,7 @@ def test_pair_depletion_overlap_respects_projector_bound():
                                ).reshape(lat.m, lat.m)
     projected = proj.apply_p(state.amplitudes, 0)
     overlap = np.vdot(state.amplitudes,
-                      apply_pair_table(projected, lat, g_table))
+                      apply_pair_table(projected, _pair_site_table(lat.m, g_table)))
     cell = lat.spacing ** 2
     lhs = abs(2.0 * float(np.real(overlap)) * cell ** 2)
     g_norm = math.sqrt(cell * float(np.sum(g_table ** 2)))
@@ -558,14 +556,15 @@ def test_diagnostics_report_bundle():
     phi = lattice_field(lat)
     proj = CondensateProjector(lat, phi)
     state = depleted_state(lat, phi, 0.1)
-    report = diagnostics_report(state, proj)
+    hamiltonian = build_hamiltonian(lat, 2)
+    report = diagnostics_report(state, proj, hamiltonian)
     assert report.alpha_full is None
     assert report.alpha_less == pytest.approx(report.m_expect + report.energy_gap,
                                               rel=1e-12)
     assert report.trace_distance == trace_distance(report.gamma1, proj)
     assert report.gamma1.shape == (lat.d, lat.d)
     micro = SimpleNamespace(R_beta=1.0, g_evaluate=lambda r: np.exp(-np.asarray(r)))
-    report2 = diagnostics_report(state, proj, micro=micro)
+    report2 = diagnostics_report(state, proj, hamiltonian, micro=micro)
     assert report2.used_correction
     assert report2.alpha_full is not None
 
@@ -579,7 +578,7 @@ def test_projector_on_another_lattice_is_rejected_by_name():
     message = r"Lattice2D\(m=4, box_length=1\.0\).*Lattice2D\(m=4, box_length=2\.0\)"
     for diagnose in (lambda: number_expectations(state, proj),
                      lambda: weight_expectation(state, proj, counting_weight(2)),
-                     lambda: diagnostics_report(state, proj)):
+                     lambda: diagnostics_report(state, proj, build_hamiltonian(state.lattice, 2))):
         with pytest.raises(ValueError, match=message):
             diagnose()
 

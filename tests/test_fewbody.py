@@ -1,5 +1,6 @@
 """Tests for exact few-boson lattice dynamics."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ def test_non_finite_tables_are_rejected_by_name(field_name, value):
     tables = {"interaction_table": np.zeros((4, 4)), "external_field": np.zeros((4, 4))}
     tables[field_name][1, 2] = value
     with pytest.raises(ValueError, match=f"{field_name} must be finite, got {value}"):
+        DiscreteHamiltonian(lat, 2, **tables)
+
+
+@pytest.mark.parametrize("field_name, shape", [("external_field", (2, 8)),
+                                               ("interaction_table", (2, 2))],
+                         ids=["field-2x8", "pairs-2x2"])
+def test_tables_off_the_lattice_are_rejected_by_name(field_name, shape):
+    """A (2, 8) field was laid onto the 4 x 4 sites in row-major order, and a
+    (2, 2) pair table failed with an unnamed IndexError."""
+    lat = Lattice2D(4, 1.0)
+    tables = {"interaction_table": np.zeros((4, 4)), "external_field": np.zeros((4, 4))}
+    tables[field_name] = np.zeros(shape)
+    message = f"{field_name} must have the lattice shape (4, 4), got {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         DiscreteHamiltonian(lat, 2, **tables)
 
 

@@ -37,6 +37,7 @@ from bosons2d.fewbody import (
     DiscreteHamiltonian,
     FewBodyState,
     Lattice2D,
+    _pair_site_table,
     build_hamiltonian,
     dense_matrix,
     energy_per_particle,
@@ -672,7 +673,7 @@ def per_function_report(state: FewBodyState, projector: CondensateProjector, int
                     + apply_weight(pq + qp, projector, counting_difference(n, 1, xi)))
         g_table = micro.g_evaluate(lattice.minimum_image_distances().ravel()
                                    ).reshape(lattice.m, lattice.m)
-        overlap = np.vdot(amps, apply_pair_table(weighted, lattice, g_table))
+        overlap = np.vdot(amps, apply_pair_table(weighted, _pair_site_table(lattice.m, g_table)))
         correction = -n * (n - 1) * float(np.real(overlap)) * cell_n
     return {**out, "alpha_full": m_expect + gap(EFFECTIVE_COUPLING) + correction,
             "correction_term": correction, "used_correction": used}
@@ -713,7 +714,8 @@ def test_snapshot_report_matches_the_per_function_composition(
                              g_evaluate=lambda r: np.exp(-np.asarray(r) / (width * box_length)))
              if with_micro else None)
     xi = 0.25
-    report = diagnostics_report(state, projector, interaction, coupling, field, micro, xi)
+    hamiltonian = build_hamiltonian(lattice, n, interaction, field, t=state.time)
+    report = diagnostics_report(state, projector, hamiltonian, coupling, micro, xi)
     expected = per_function_report(state, projector, interaction, coupling, field, micro, xi)
     assert np.max(np.abs(report.gamma1 - expected.pop("gamma1"))) <= 1e-13
     for name, value in expected.items():
@@ -726,9 +728,8 @@ def test_snapshot_report_matches_the_per_function_composition(
 
 def test_snapshot_report_runs_one_count_pass_and_one_energy(monkeypatch):
     """One report reflects the state into the count basis once, runs
-    energy_per_particle once, builds one Hamiltonian when none is given
-    (none when one is) and samples the depletion profile once, with the
-    correction in use."""
+    energy_per_particle once, builds no Hamiltonian (it is given one) and
+    samples the depletion profile once, with the correction in use."""
     calls = {"_count_basis": 0, "energy_per_particle": 0, "build_hamiltonian": 0,
              "g_evaluate": 0}
 
@@ -747,13 +748,9 @@ def test_snapshot_report_runs_one_count_pass_and_one_energy(monkeypatch):
     micro = SimpleNamespace(R_beta=0.5,
                             g_evaluate=counted("g_evaluate", lambda r: np.exp(-np.asarray(r))))
     interaction = lambda r: 2.0 * np.exp(-(r / 0.3) ** 2)
-    report = diagnostics_report(state, projector, interaction, 1.0, None, micro)
-    assert report.used_correction
-    assert calls == {"_count_basis": 1, "energy_per_particle": 1, "build_hamiltonian": 1,
-                     "g_evaluate": 1}
     hamiltonian = build_hamiltonian(lattice, 3, interaction)
-    calls.update(dict.fromkeys(calls, 0))
-    diagnostics_report(state, projector, interaction, 1.0, None, micro, hamiltonian=hamiltonian)
+    report = diagnostics_report(state, projector, hamiltonian, 1.0, micro)
+    assert report.used_correction
     assert calls == {"_count_basis": 1, "energy_per_particle": 1, "build_hamiltonian": 0,
                      "g_evaluate": 1}
 

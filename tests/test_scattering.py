@@ -118,8 +118,12 @@ def test_zero_potential_degenerates():
      "potential sample nan is negative or NaN"),
     (lambda: RadialPotential(lambda r: -r, 0.5)(np.array([0.0, 0.1])),
      r"potential sample -0\.1 is negative or NaN"),
+    # NaN <= R is False, so a NaN radius used to read as outside: V = 0
+    (lambda: square_well(4.0, 0.5)(math.nan), "a radius is NaN"),
+    (lambda: square_well(4.0, 0.5)(np.array([math.nan, 0.1])), "a radius is NaN"),
 ], ids=["height-nan", "height-inf", "radius-nan", "radius-inf", "table-radius-nan",
-        "table-radius-inf", "table-value-nan", "profile-nan", "profile-negative"])
+        "table-radius-inf", "table-value-nan", "profile-nan", "profile-negative",
+        "sample-radius-nan", "sample-radii-with-nan"])
 def test_non_finite_potentials_are_rejected_by_value(build, message):
     with pytest.raises(ValueError, match=message):
         build()
