@@ -545,6 +545,44 @@ class RateComparison:
     residual: float
 
 
+def _symmetric_step(hamiltonian: DiscreteHamiltonian, amplitudes: np.ndarray
+                    ) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+    """The spectrum of the Hamiltonian on the exchange-symmetric subspace,
+    and t -> exp(-i t H) S S^T amplitudes, with S that subspace's basis.
+
+    S has one column per orbit of site tuples under particle exchange,
+    C(d + N - 1, N) of them, the orbit's indicator over sqrt(|orbit|).
+    Each orbit holds the flat index of its sorted tuple, its
+    representative. H commutes with every exchange (its pair table, sampled
+    from a radial potential, is even), so its column sum over orbit b is
+    the same on every row of orbit a, and the block entry
+    (a, b) is that sum on a's representative row times
+    sqrt(|orbit a| / |orbit b|). One real `eigh` of the block serves every
+    t, and the non-symmetric part of amplitudes is dropped.
+    """
+    shape = amplitudes.shape
+    tuples = np.sort(np.indices(shape).reshape(len(shape), -1), axis=0)
+    representatives, orbit, sizes = np.unique(np.ravel_multi_index(tuples, shape),
+                                              return_inverse=True, return_counts=True)
+    root = np.sqrt(sizes)
+    summed = np.add.reduceat(
+        dense_matrix(hamiltonian)[np.ix_(representatives, np.argsort(orbit, kind="stable"))],
+        np.cumsum(sizes) - sizes, axis=1)
+    w, v = np.linalg.eigh(summed * np.outer(root, 1.0 / root))
+    # The orbit coordinates as (K, 2) real and imaginary columns: both basis changes are real products.
+    flat = amplitudes.ravel()
+    coords = np.stack([np.bincount(orbit, flat.real), np.bincount(orbit, flat.imag)],
+                      axis=1) / root[:, None]
+    eigen_coeffs = (v.T @ coords).view(np.complex128)
+
+    def step(t: float) -> np.ndarray:
+        coeffs = eigen_coeffs * np.exp(-1j * t * w)[:, None]
+        moved = (v @ coeffs.view(np.float64)).view(np.complex128)[:, 0] / root
+        return moved[orbit].reshape(shape)
+
+    return w, step
+
+
 def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
                         interaction: Callable[[np.ndarray], np.ndarray] | None,
                         coupling: float, field: ExternalField | None = None,
@@ -557,13 +595,19 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     cubic mean-field flow with the same static external table, so the
     identity is exact up to the O(dt^2) differencing error.
 
-    The state steps by one real eigendecomposition of `dense_matrix`,
-    shared by the +dt and -dt steps, so the dimension d^N may not exceed
-    4096 (`dense_matrix` raises above it).
-    The Chebyshev series of `propagate` would take a different number of
-    terms at each dt, and the benchmark's traced `algebra_verify`, which
-    cycles dt through 2e-4, 1e-4 and 5e-5, requires every pass to repeat
-    the counts of the first.
+    The state steps in the exchange-symmetric block of the Hamiltonian,
+    of dimension C(d + N - 1, N), by one real eigendecomposition shared by
+    the +dt and -dt steps (`_symmetric_step`). The block is read from
+    `dense_matrix`, so the full dimension d^N may not exceed 4096
+    (`dense_matrix` raises above it). The step drops the non-symmetric
+    residue, at most 1e-8 by the check below, and that is exact: H and
+    every count projection P_k commute with particle exchanges, so the
+    symmetric part evolves in its own block and its weighted count
+    expectation does not couple to the rest.
+    The Chebyshev series of `propagate` is not used: it takes a different
+    number of terms at each dt, and the benchmark's traced
+    `algebra_verify`, which cycles dt through 2e-4, 1e-4 and 5e-5, requires
+    every pass to repeat the counts of the first.
     """
     n = state.n_particles
     if n < 2:
@@ -577,15 +621,10 @@ def ddt_weight_identity(state: FewBodyState, projector: CondensateProjector,
     hamiltonian = build_hamiltonian(lattice, n, interaction, field,
                                     t=state.time)
     weight = counting_weight(n, xi)
-    # The state as (dim, 2) real and imaginary columns: both basis changes are real products.
-    w, v = np.linalg.eigh(dense_matrix(hamiltonian))
-    parts = np.ascontiguousarray(state.amplitudes).reshape(-1, 1)
-    eigen_coeffs = (v.T @ parts.view(np.float64)).view(np.complex128)
+    _, step = _symmetric_step(hamiltonian, state.amplitudes)
 
     def expectation(shifted: float) -> float:
-        coeffs = eigen_coeffs * np.exp(-1j * shifted * w)[:, None]
-        moved = FewBodyState(lattice, (v @ coeffs.view(np.float64)).view(np.complex128)
-                             .reshape(state.amplitudes.shape))
+        moved = FewBodyState(lattice, step(shifted))
         phi_t = mean_field_step(projector.phi, lattice, coupling,
                                 hamiltonian.external_field, dt=shifted)
         return weight_expectation(moved, CondensateProjector(lattice, phi_t),

@@ -669,9 +669,62 @@ def test_rate_identity_stationary_configuration_vanishes():
     assert abs(sum(comparison.split_parts)) < 1e-13
 
 
+def test_rate_identity_routes_agree_at_three_particles():
+    """At N = 3 on 4 x 4 the dimension d^N is 4096, the dense limit, and
+    the exchange-symmetric block the state steps in has C(18, 3) = 816
+    states. The three commutator routes agree, and the residual is small
+    and falls at second order in dt."""
+    lat = Lattice2D(4, 1.0)
+    phi = lattice_field(lat)
+    proj = CondensateProjector(lat, phi)
+    rng = np.random.default_rng(11)
+    chi = rng.standard_normal(lat.d) + 1j * rng.standard_normal(lat.d)
+    one = phi.ravel() + 0.2 * chi / np.linalg.norm(chi) / lat.spacing
+    product = np.multiply.outer(np.multiply.outer(one, one), one)
+    state = FewBodyState(lat, product + 0.05 * random_symmetric_state(lat, 3, 12).amplitudes
+                         ).normalized()
+    W = make_scaled("W_beta", square_well(4.0, 0.5), N=3, beta=0.5)
+    field = ExternalField.from_function(lambda x, y, t: np.cos(2 * math.pi * x))
+    comparisons = [ddt_weight_identity(state, proj, W, 3.0 * W.norm_l1, field=field, dt=dt)
+                   for dt in (4e-4, 2e-4, 1e-4)]
+    finest = comparisons[-1]
+    assert abs(finest.commutator - finest.projected) < 1e-12
+    assert abs(finest.projected - sum(finest.split_parts)) < 1e-12
+    assert finest.residual < 1e-5
+    assert all(part != 0.0 for part in finest.split_parts)
+    ratios = [a.residual / b.residual for a, b in zip(comparisons, comparisons[1:])]
+    assert all(3.3 < r < 4.7 for r in ratios)
+
+
+def test_rate_identity_drops_the_non_symmetric_residue():
+    """The state steps in the exchange-symmetric block, so an antisymmetric
+    part below the 1e-8 symmetry check leaves the finite-difference rate
+    of the symmetrized state unchanged; a larger one is refused."""
+    lat = Lattice2D(4, 1.0)
+    phi = lattice_field(lat)
+    proj = CondensateProjector(lat, phi)
+    symmetric = depleted_state(lat, phi, 0.2)
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((lat.d, lat.d)) + 1j * rng.standard_normal((lat.d, lat.d))
+    odd = FewBodyState(lat, raw - raw.T).normalized().amplitudes
+    W = make_scaled("W_beta", square_well(4.0, 0.5), N=2, beta=0.5)
+    rate = lambda amplitudes: ddt_weight_identity(
+        FewBodyState(lat, amplitudes), proj, W, 2.0 * W.norm_l1, dt=1e-4).finite_difference
+    perturbed = symmetric.amplitudes + 1e-10 * odd
+    expected = rate(0.5 * (perturbed + perturbed.T))
+    assert abs(rate(perturbed) - expected) <= 1e-12 * abs(expected)
+    with pytest.raises(ValueError, match="exchange symmetric"):
+        rate(symmetric.amplitudes + 1e-6 * odd)
+
+
 def test_rate_identity_steps_without_the_matrix_free_action(monkeypatch):
-    """At N = 2 on 6 x 6 (dimension 1296) the identity steps by the dense
-    eigendecomposition, so it makes no `apply` call at all."""
+    """At N = 2 on 6 x 6 (dimension 1296) the identity steps by one real
+    eigendecomposition of the exchange-symmetric block, of dimension
+    C(37, 2) = 666, read from `dense_matrix`, so it makes no `apply` call
+    at all. The residue outside the block, at most 1e-8 by the symmetry
+    check, is dropped, which is exact because H and every count projection
+    commute with particle exchanges. The Chebyshev series is not used: its
+    term count varies with dt, and the work here must not."""
     lat = Lattice2D(6, 1.0)
     phi = lattice_field(lat)
     proj = CondensateProjector(lat, phi)

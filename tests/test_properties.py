@@ -505,6 +505,34 @@ def test_fewbody_propagation_conserves_and_reverses(n_and_m, box_length, dt, see
     assert distance(steppers[0](start, dt), steppers[1](start, dt)) <= 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(n_and_m=st.sampled_from([(2, m) for m in range(2, 6)] + [(3, 2), (3, 3)]),
+       box_length=st.floats(1.0, 8.0),
+       dt=st.floats(1e-4, 0.5).flatmap(lambda v: st.sampled_from([v, -v])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_block_step_matches_the_dense_exponential(n_and_m, box_length, dt, seed):
+    """The rate identity's step in the exchange-symmetric block, of
+    dimension C(d + N - 1, N), against expm(-i dt H) on all d^N
+    configurations for a symmetrized random state; and every eigenvalue of
+    the block is an eigenvalue of H. The pair table is made even, as every
+    sampling of a radial potential is, so that H commutes with exchanges."""
+    n, m = n_and_m
+    rng = np.random.default_rng(seed)
+    lattice = Lattice2D(m, box_length)
+    pair = rng.uniform(0.0, 10.0, size=(m, m))
+    reflected = -np.arange(m) % m
+    hamiltonian = DiscreteHamiltonian(lattice, n, pair + pair[np.ix_(reflected, reflected)],
+                                      rng.uniform(-5.0, 5.0, size=(m, m)))
+    amplitudes = symmetric_state(rng, lattice, n).amplitudes
+    eigenvalues, step = diagnostics._symmetric_step(hamiltonian, amplitudes)
+    assert len(eigenvalues) == math.comb(lattice.d + n - 1, n)
+    dense = dense_matrix(hamiltonian)
+    oracle = expm(-1j * dt * dense) @ amplitudes.ravel()
+    assert np.linalg.norm(step(dt).ravel() - oracle) <= 1e-12 * np.linalg.norm(amplitudes)
+    spectrum = np.linalg.eigvalsh(dense)
+    assert np.max(np.min(np.abs(eigenvalues[:, None] - spectrum), axis=1)) <= 1e-10
+
+
 def kronecker_count_projections(p: np.ndarray, q: np.ndarray, n: int) -> list[np.ndarray]:
     """Dense P_0..P_n on n particles.
 
